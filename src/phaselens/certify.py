@@ -28,7 +28,7 @@ from .errors import (
     SingularTransformError,
 )
 from .frames import COMPLEX, REAL, ExplicitFrame, analysis_magnitudes
-from .metrics import bures_distance_arrays
+from .metrics import bures_distance_arrays, sign_lift
 from .vectors import DenseVector, VectorRep
 
 
@@ -106,14 +106,37 @@ class SparkResult:
         return self.spark is None
 
 
-def _subset_rank(frame: ExplicitFrame, indices, rank_rtol=config.RANK_RTOL) -> int:
-    if len(indices) == 0:
-        return 0
-    sub = frame.matrix[[i - 1 for i in indices], :]
-    sv = np.linalg.svd(sub, compute_uv=False)
-    if sv[0] == 0.0:
+def _numerical_rank(sv: np.ndarray, rank_rtol: float) -> int:
+    """Count of descending singular values above rank_rtol times the largest."""
+    if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > rank_rtol * sv[0]))
+
+
+def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm, zero rows kept zero.  Rank decisions run on
+    these, so rescaling a frame vector cannot change a verdict."""
+    norms = np.linalg.norm(matrix, axis=1)
+    return matrix / np.where(norms > 0.0, norms, 1.0)[:, None]
+
+
+def _subset_rank(unit: np.ndarray, indices, rank_rtol=config.RANK_RTOL) -> int:
+    """Rank of the rows of ``unit`` at the 1-based ``indices``."""
+    if len(indices) == 0:
+        return 0
+    sv = np.linalg.svd(unit[[i - 1 for i in indices], :], compute_uv=False)
+    return _numerical_rank(sv, rank_rtol)
+
+
+def _first_dependent(frame: ExplicitFrame, sizes, rank_rtol) -> Optional[Tuple[int, ...]]:
+    """First linearly dependent column subset, by size in the order given and
+    lexicographically within a size; None when all are independent."""
+    unit = _unit_rows(frame.matrix)
+    for k in sizes:
+        for combo in itertools.combinations(range(1, frame.m + 1), k):
+            if _subset_rank(unit, combo, rank_rtol) < k:
+                return combo
+    return None
 
 
 def spark(frame: ExplicitFrame, rank_rtol=config.RANK_RTOL) -> SparkResult:
@@ -125,10 +148,9 @@ def spark(frame: ExplicitFrame, rank_rtol=config.RANK_RTOL) -> SparkResult:
     the all-independent marker.
     """
     m, n = frame.m, frame.dim
-    for k in range(1, min(m, n) + 1):
-        for combo in itertools.combinations(range(1, m + 1), k):
-            if _subset_rank(frame, combo, rank_rtol) < k:
-                return SparkResult(spark=k, witness=combo)
+    combo = _first_dependent(frame, range(1, min(m, n) + 1), rank_rtol)
+    if combo is not None:
+        return SparkResult(spark=len(combo), witness=combo)
     if m <= n:
         return SparkResult(spark=None, witness=None)
     # every subset of size <= n is independent, so any n+1 columns form a
@@ -141,10 +163,7 @@ def is_full_spark(frame: ExplicitFrame, rank_rtol=config.RANK_RTOL) -> bool:
     m, n = frame.m, frame.dim
     if m < n:
         raise IncompatibleVector(f"full spark needs m >= n, got m={m}, n={n}")
-    for combo in itertools.combinations(range(1, m + 1), n):
-        if _subset_rank(frame, combo, rank_rtol) < n:
-            return False
-    return True
+    return _first_dependent(frame, (n,), rank_rtol) is None
 
 
 def _complement_pairs(m: int):
@@ -154,6 +173,23 @@ def _complement_pairs(m: int):
     for size in range(1, m + 1):
         for tail in itertools.combinations(rest, size - 1):
             yield (1,) + tail
+
+
+def _failing_subset(
+    frame: ExplicitFrame, subset_cap: int, rank_rtol: float
+) -> Optional[FailingSubset]:
+    """First sigma in ``_complement_pairs`` order such that neither sigma nor
+    its complement spans, or None when the complement property holds."""
+    m, n = frame.m, frame.dim
+    if m > subset_cap:
+        raise EnumerationCapExceeded(f"m={m} exceeds subset cap {subset_cap}")
+    unit = _unit_rows(frame.matrix)
+    for sigma in _complement_pairs(m):
+        if _subset_rank(unit, sigma, rank_rtol) < n:
+            comp = tuple(i for i in range(1, m + 1) if i not in sigma)
+            if _subset_rank(unit, comp, rank_rtol) < n:
+                return FailingSubset(sigma)
+    return None
 
 
 def complement_property(
@@ -167,46 +203,15 @@ def complement_property(
     Complex field: the property is only necessary, so a holding check yields
     Inconclusive; a failing subset still refutes phase retrieval.
     """
-    m, n = frame.m, frame.dim
-    if m > subset_cap:
-        raise EnumerationCapExceeded(f"m={m} exceeds subset cap {subset_cap}")
+    failing = _failing_subset(frame, subset_cap, rank_rtol)
+    if failing is not None:
+        verdict, method = Verdict.NOT_PHASE_RETRIEVAL, Method.COMPLEMENT_PROPERTY
+    elif frame.field == COMPLEX:
+        verdict, method = Verdict.INCONCLUSIVE, Method.NECESSARY_CONDITION_ONLY
+    else:
+        verdict, method = Verdict.PHASE_RETRIEVAL, Method.COMPLEMENT_PROPERTY
     params = {"tolerance": rank_rtol, "subset_cap": subset_cap}
-    fp = io.frame_fingerprint(frame)
-    for sigma in _complement_pairs(m):
-        if _subset_rank(frame, sigma, rank_rtol) >= n:
-            continue
-        comp = tuple(i for i in range(1, m + 1) if i not in sigma)
-        if _subset_rank(frame, comp, rank_rtol) >= n:
-            continue
-        return Certificate(
-            verdict=Verdict.NOT_PHASE_RETRIEVAL,
-            method=Method.COMPLEMENT_PROPERTY,
-            frame_fingerprint=fp,
-            witness=FailingSubset(sigma),
-            parameters=params,
-        )
-    if frame.field == COMPLEX:
-        return Certificate(
-            verdict=Verdict.INCONCLUSIVE,
-            method=Method.NECESSARY_CONDITION_ONLY,
-            frame_fingerprint=fp,
-            parameters=params,
-        )
-    return Certificate(
-        verdict=Verdict.PHASE_RETRIEVAL,
-        method=Method.COMPLEMENT_PROPERTY,
-        frame_fingerprint=fp,
-        parameters=params,
-    )
-
-
-def _sign_matrix(m: int) -> np.ndarray:
-    """All sign patterns with the first sign fixed to +1, binary counting
-    order (pattern epsilon and -epsilon give class-equal solutions)."""
-    if m == 1:
-        return np.ones((1, 1))
-    tails = np.array(list(itertools.product((1.0, -1.0), repeat=m - 1)))
-    return np.hstack([np.ones((tails.shape[0], 1)), tails])
+    return Certificate(verdict, method, io.frame_fingerprint(frame), failing, params)
 
 
 def _is_collision(frame, x, y, realize_rtol, class_rtol) -> bool:
@@ -239,9 +244,8 @@ def _sign_collision_search(
     m, n = frame.m, frame.dim
     if m > sign_cap:
         raise EnumerationCapExceeded(f"m={m} exceeds sign cap {sign_cap}")
-    v = frame.matrix
-    signs = _sign_matrix(m)
-    pinv = np.linalg.pinv(v.conj())
+    a = frame.matrix.conj()
+    signs, solve = sign_lift(a)
     rng = np.random.default_rng(seed)
 
     for _ in range(trials):
@@ -249,25 +253,18 @@ def _sign_collision_search(
             x = rng.standard_normal(n)
         else:
             x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        c = np.abs(v.conj() @ x)
-        targets = signs * c  # one row per sign pattern
-        ys = targets @ pinv.T
-        residuals = np.linalg.norm(targets - ys @ v.conj().T, axis=1)
-        ok = residuals <= realize_rtol * np.linalg.norm(c)
+        ys, ok = solve(np.abs(a @ x), realize_rtol)
         for row in np.flatnonzero(ok):
             y = ys[row]
             if bures_distance_arrays(x, y) > class_rtol * np.linalg.norm(x):
                 return CollidingPair(DenseVector(x), DenseVector(y))
 
-    for row in signs:
-        neg = [j for j in range(m) if row[j] < 0]
-        if not neg:
-            continue
-        pos = [j for j in range(m) if row[j] > 0]  # nonempty: first sign is +1
-        u = _null_vector(v[neg, :])
+    unit = _unit_rows(frame.matrix)
+    for row in signs[1:]:  # row 0 is all +1; every other row has both signs
+        u = _null_vector(unit[row < 0])
         if u is None:
             continue
-        w = _null_vector(v[pos, :])
+        w = _null_vector(unit[row > 0])
         if w is None:
             continue
         x, y = u + w, u - w
@@ -279,10 +276,9 @@ def _sign_collision_search(
 
 def _null_vector(rows: np.ndarray, rank_rtol=config.RANK_RTOL):
     """A unit vector orthogonal to all given rows, or None if they span."""
-    n = rows.shape[1]
     _, sv, vh = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.sum(sv > rank_rtol * sv[0])) if sv.size and sv[0] > 0 else 0
-    if rank >= n:
+    rank = _numerical_rank(sv, rank_rtol)
+    if rank >= rows.shape[1]:
         return None
     return vh[rank].conj()
 
@@ -323,8 +319,6 @@ def certify_phase_retrieval(
     unless a sign-pattern collision is found (complex phase relaxation is not
     attempted).
     """
-    m, n = frame.m, frame.dim
-    fp = io.frame_fingerprint(frame)
     params = {
         "tolerance": rank_rtol,
         "subset_cap": subset_cap,
@@ -332,43 +326,27 @@ def certify_phase_retrieval(
         "trials": trials,
         "seed": seed,
     }
-    if frame.field == REAL and m < 2 * n - 1:
+    fp = io.frame_fingerprint(frame)
+
+    def done(verdict, method, witness=None):
+        return Certificate(verdict, method, fp, witness, params)
+
+    if frame.field == REAL and frame.m < 2 * frame.dim - 1:
         pair = _sign_collision_search(frame, trials, seed, sign_cap)
         if pair is not None:
-            return Certificate(
-                verdict=Verdict.NOT_PHASE_RETRIEVAL,
-                method=Method.NECESSARY_CONDITION_ONLY,
-                frame_fingerprint=fp,
-                witness=pair,
-                parameters=params,
-            )
+            return done(Verdict.NOT_PHASE_RETRIEVAL, Method.NECESSARY_CONDITION_ONLY, pair)
         # fall through: complement property must also fail and provides a
         # failing-subset witness
-    cert = complement_property(frame, subset_cap, rank_rtol)
-    if frame.field == REAL or cert.verdict == Verdict.NOT_PHASE_RETRIEVAL:
-        return Certificate(
-            verdict=cert.verdict,
-            method=cert.method,
-            frame_fingerprint=fp,
-            witness=cert.witness,
-            parameters=params,
-        )
+    failing = _failing_subset(frame, subset_cap, rank_rtol)
+    if failing is not None:
+        return done(Verdict.NOT_PHASE_RETRIEVAL, Method.COMPLEMENT_PROPERTY, failing)
+    if frame.field == REAL:
+        return done(Verdict.PHASE_RETRIEVAL, Method.COMPLEMENT_PROPERTY)
     # complex, complement property holds: try a sign-only falsification
     pair = _sign_collision_search(frame, trials, seed, sign_cap)
     if pair is not None:
-        return Certificate(
-            verdict=Verdict.NOT_PHASE_RETRIEVAL,
-            method=Method.SIGN_ENUMERATION,
-            frame_fingerprint=fp,
-            witness=pair,
-            parameters=params,
-        )
-    return Certificate(
-        verdict=Verdict.INCONCLUSIVE,
-        method=Method.NECESSARY_CONDITION_ONLY,
-        frame_fingerprint=fp,
-        parameters=params,
-    )
+        return done(Verdict.NOT_PHASE_RETRIEVAL, Method.SIGN_ENUMERATION, pair)
+    return done(Verdict.INCONCLUSIVE, Method.NECESSARY_CONDITION_ONLY)
 
 
 def transform_frame(frame: ExplicitFrame, u, rank_rtol=config.RANK_RTOL) -> ExplicitFrame:
@@ -376,8 +354,7 @@ def transform_frame(frame: ExplicitFrame, u, rank_rtol=config.RANK_RTOL) -> Expl
     u = np.asarray(u)
     if u.shape != (frame.dim, frame.dim):
         raise IncompatibleVector(f"operator shape {u.shape} vs dim {frame.dim}")
-    sv = np.linalg.svd(u, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= rank_rtol * sv[0]:
+    if _numerical_rank(np.linalg.svd(u, compute_uv=False), rank_rtol) < frame.dim:
         raise SingularTransformError("operator is singular under the rank tolerance")
     new = frame.matrix @ u.T
     field_tag = frame.field

@@ -86,10 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args):
-    for name in ("tol",):
-        if getattr(args, name) <= 0:
-            raise FrameFormatError(f"--{name} must be positive")
-    for name in ("grid", "truncation", "prefix", "cap_subsets", "cap_signs"):
+    for name in ("tol", "grid", "truncation", "prefix", "cap_subsets", "cap_signs"):
         if getattr(args, name) <= 0:
             raise FrameFormatError(f"--{name.replace('_', '-')} must be positive")
 

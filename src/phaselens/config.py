@@ -1,6 +1,4 @@
-"""Shared numeric defaults and environment-driven settings."""
-
-import os
+"""Shared numeric defaults."""
 
 # A singular/eigen value counts as zero when <= RANK_RTOL * largest value.
 RANK_RTOL = 1e-10
@@ -28,16 +26,3 @@ DEFAULT_TRUNCATION = 50
 
 SCHEMA_VERSION = "1"
 
-
-def worker_count() -> int:
-    """Worker cap for parallelizable loops, from PHASELENS_THREADS (default 1).
-
-    Results are deterministic regardless of this value: parallel reductions
-    merge in index order.
-    """
-    raw = os.environ.get("PHASELENS_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

@@ -94,24 +94,21 @@ class PairwiseSumFrame:
             raise IncompatibleVector("pairwise-sum truncation must be >= 2")
         self.truncation = int(truncation)
         self.field = REAL
+        # 0-based (i, j) of every functional, in index order
+        self._i, self._j = np.triu_indices(self.truncation, k=1)
 
     @property
     def m(self) -> int:
-        n = self.truncation
-        return n * (n - 1) // 2
+        return self._i.size
 
     def pairs(self) -> Iterator[Tuple[int, int]]:
-        n = self.truncation
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                yield (i, j)
+        return zip((self._i + 1).tolist(), (self._j + 1).tolist())
 
     def pair(self, idx: int) -> Tuple[int, int]:
         """1-based functional index -> its (i, j) pair."""
-        for k, p in enumerate(self.pairs(), start=1):
-            if k == idx:
-                return p
-        raise IndexError(idx)
+        if not 1 <= idx <= self.m:  # a bare array index would wrap idx <= 0
+            raise IndexError(idx)
+        return int(self._i[idx - 1]) + 1, int(self._j[idx - 1]) + 1
 
     def check_exact(self, x: VectorRep) -> bool:
         """True when the truncated index set sees all of x (zero tail)."""
@@ -144,17 +141,17 @@ class FrameBounds:
     upper: float
 
 
+def coefficients(frame: Frame, x) -> np.ndarray:
+    """Frame coefficients <x, phi_j>, indexed like the frame."""
+    if isinstance(frame, ExplicitFrame):
+        return frame.matrix.conj() @ frame.coerce(x)
+    ent = frame.entries(x)
+    return ent[frame._i] + ent[frame._j]
+
+
 def analysis_magnitudes(frame: Frame, x) -> np.ndarray:
     """The magnitude pattern {|<x, phi_i>|}, indexed like the frame."""
-    x = as_rep(x)
-    if isinstance(frame, ExplicitFrame):
-        coords = frame.coerce(x)
-        return np.abs(frame.matrix.conj() @ coords)
-    ent = frame.entries(x)
-    out = np.empty(frame.m)
-    for k, (i, j) in enumerate(frame.pairs()):
-        out[k] = abs(ent[i - 1] + ent[j - 1])
-    return out
+    return np.abs(coefficients(frame, x))
 
 
 def frame_operator(frame: ExplicitFrame) -> np.ndarray:

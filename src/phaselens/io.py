@@ -47,16 +47,6 @@ def _entry_to_json(v, field):
     return _fmt(float(np.real(v)))
 
 
-def _entry_from_json(e, field):
-    if isinstance(e, (list, tuple)):
-        if len(e) != 2:
-            raise FrameFormatError(f"complex entry must be [re, im], got {e!r}")
-        return complex(float(e[0]), float(e[1]))
-    if field == COMPLEX:
-        return complex(float(e), 0.0)
-    return float(e)
-
-
 def frame_to_dict(frame: Frame) -> dict:
     if isinstance(frame, PairwiseSumFrame):
         return {"structured": "pairwise_sum", "truncation": frame.truncation}
@@ -91,7 +81,7 @@ def frame_from_dict(data: dict) -> Frame:
     for row in vectors:
         if len(row) != dim:
             raise FrameFormatError(f"vector length {len(row)} != dim {dim}")
-        rows.append(DenseVector([_entry_from_json(e, field) for e in row]))
+        rows.append(DenseVector([_parse_entry(e) for e in row]))
     try:
         return ExplicitFrame(rows, field=field)
     except Exception as e:

@@ -6,6 +6,7 @@ realizer that inverts magnitude patterns for real frames.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -13,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import config
-from .errors import FieldError, IncompatibleVector
+from .errors import EnumerationCapExceeded, FieldError, IncompatibleVector
 from .frames import (
     REAL,
     ExplicitFrame,
@@ -21,6 +22,7 @@ from .frames import (
     FrameBounds,
     PairwiseSumFrame,
     analysis_magnitudes,
+    coefficients,
     frame_bounds,
 )
 from .vectors import DenseVector, QuotientPoint, as_rep, inner_product
@@ -28,40 +30,49 @@ from .vectors import DenseVector, QuotientPoint, as_rep, inner_product
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def bures_distance_arrays(x: np.ndarray, y: np.ndarray) -> float:
-    """D on raw coordinate arrays: sqrt(|x|^2 + |y|^2 - 2|<x,y>|)."""
-    scale = float(np.linalg.norm(x)) ** 2 + float(np.linalg.norm(y)) ** 2
-    r = scale - 2.0 * abs(np.vdot(y, x))
-    if r <= 1e-13 * scale:  # below the radicand's rounding noise
-        return 0.0
-    return math.sqrt(r)
-
-
-def bures_distance(x, y) -> float:
-    """D(x^, y^) = min over unimodular lambda of ||x - lambda y||.
-
-    Closed form sqrt(|x|^2 + |y|^2 - 2|<x,y>|); radicands within rounding
-    noise of zero (1e-13 relative, either sign) are clamped to zero so that
-    class-equal arguments give an exact zero.
-    """
-    x, y = as_rep(x), as_rep(y)
-    scale = x.norm() ** 2 + y.norm() ** 2
-    r = scale - 2.0 * abs(inner_product(x, y))
+def _bures(norm_x: float, norm_y: float, overlap: float) -> float:
+    """sqrt(|x|^2 + |y|^2 - 2|<x,y>|) from |x|, |y| and |<x,y>|; radicands within
+    rounding noise of zero (1e-13 relative, either sign) are clamped to zero so
+    that class-equal arguments give an exact zero."""
+    scale = norm_x ** 2 + norm_y ** 2
+    r = scale - 2.0 * overlap
     if r <= 1e-13 * scale:
         return 0.0
     return math.sqrt(r)
 
 
-def coefficients(frame: Frame, x) -> np.ndarray:
-    """Frame coefficients <x, phi_j>, indexed like the frame."""
-    x = as_rep(x)
-    if isinstance(frame, ExplicitFrame):
-        return frame.matrix.conj() @ frame.coerce(x)
-    ent = frame.entries(x)
-    out = np.empty(frame.m, dtype=ent.dtype)
-    for k, (i, j) in enumerate(frame.pairs()):
-        out[k] = ent[i - 1] + ent[j - 1]
-    return out
+def bures_distance_arrays(x: np.ndarray, y: np.ndarray) -> float:
+    """D on raw coordinate arrays: sqrt(|x|^2 + |y|^2 - 2|<x,y>|)."""
+    return _bures(float(np.linalg.norm(x)), float(np.linalg.norm(y)), abs(np.vdot(y, x)))
+
+
+def bures_distance(x, y) -> float:
+    """D(x^, y^) = min over unimodular lambda of ||x - lambda y||, in closed form."""
+    x, y = as_rep(x), as_rep(y)
+    return _bures(x.norm(), y.norm(), abs(inner_product(x, y)))
+
+
+def sign_lift(a: np.ndarray):
+    """Per-frame least-squares solver for a y = eps * c, where row j of ``a`` is
+    phi_j conjugated and eps runs over the rows of ``signs``: every sign pattern
+    with the first sign +1 (eps and -eps give class-equal solutions), in binary
+    counting order.  Returns ``(signs, solve)``; ``solve(c, rtol)`` gives one
+    solution per pattern and the mask of those with residual <= rtol * |c|."""
+    tails = np.array(list(itertools.product((1.0, -1.0), repeat=a.shape[0] - 1)))
+    signs = np.hstack([np.ones((tails.shape[0], 1)), tails])
+    pinv_t = np.linalg.pinv(a).T
+    # work arrays kept across calls: allocating them per call made the C heap trim
+    # and refault its pages on every one of the falsifier's trials
+    targets = np.empty(signs.shape)
+    back = np.empty(signs.shape, dtype=np.result_type(a, pinv_t))
+
+    def solve(magnitudes: np.ndarray, rtol: float):
+        np.multiply(signs, magnitudes, out=targets)
+        ys = targets @ pinv_t
+        np.subtract(np.matmul(ys, a.T, out=back), targets, out=back)
+        return ys, np.linalg.norm(back, axis=1) <= rtol * np.linalg.norm(magnitudes)
+
+    return signs, solve
 
 
 def d_phi(frame: Frame, x, y) -> float:
@@ -284,8 +295,6 @@ def realize_from_magnitudes(
     whose residual is within tolerance wins, so results are deterministic.
     Returns None when no signing of the target is realizable.
     """
-    from .certify import EnumerationCapExceeded, _sign_matrix  # local: avoid cycle at import time
-
     if frame.field != REAL:
         raise FieldError("magnitude realization requires a real frame")
     frame_bounds(frame)  # spanning check
@@ -296,16 +305,11 @@ def realize_from_magnitudes(
         raise IncompatibleVector("magnitude targets must be nonnegative")
     if frame.m > sign_cap:
         raise EnumerationCapExceeded(f"m={frame.m} exceeds sign cap {sign_cap}")
-    scale = float(np.linalg.norm(target))
-    if scale == 0.0:
+    if float(np.linalg.norm(target)) == 0.0:
         return QuotientPoint(DenseVector(np.zeros(frame.dim)))
-    v = frame.matrix
-    signs = _sign_matrix(frame.m)
-    pinv = np.linalg.pinv(v)
-    targets = signs * target
-    ys = targets @ pinv.T
-    residuals = np.linalg.norm(targets - ys @ v.T, axis=1)
-    hits = np.flatnonzero(residuals <= realize_rtol * scale)
+    _, solve = sign_lift(frame.matrix)
+    ys, ok = solve(target, realize_rtol)
+    hits = np.flatnonzero(ok)
     if hits.size == 0:
         return None
     return QuotientPoint(DenseVector(ys[hits[0]]))

@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import config
+from .certify import CollidingPair, Verdict, certify_phase_retrieval, falsify_by_sign_enumeration
 from .errors import IncompatibleVector
 from .frames import (
     ExplicitFrame,
@@ -121,9 +122,6 @@ class PerturbedLimit:
         if not isinstance(lim, DenseVector) or not isinstance(d, DenseVector):
             raise IncompatibleVector("perturbed-limit sequences need dense vectors")
         return DenseVector(lim.coords + float(k) ** (-self.rate) * d.coords)
-
-
-SequenceSpec = object  # any of the above; duck-typed on .length / .point
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +384,6 @@ def finite_dim_coincidence_suite(
     representatives of one class converges to the other class in the initial
     topology but visibly not in the weak sense.
     """
-    from .certify import Verdict, certify_phase_retrieval, falsify_by_sign_enumeration
-
     if frame.field != "real":
         raise IncompatibleVector("coincidence suite requires a real frame")
     frame_bounds(frame)  # NotAFrameError when not spanning
@@ -421,18 +417,11 @@ def finite_dim_coincidence_suite(
                     {"trial": t, "tau_phi": rp.verdict.value, "tau_w": rw.verdict.value}
                 )
     else:
-        from .certify import CollidingPair
-
-        pair = None
-        if isinstance(cert.witness, CollidingPair):
-            pair = (cert.witness.x, cert.witness.y)
-        if pair is None:
-            found = falsify_by_sign_enumeration(frame, trials=50, seed=seed)
-            if found is not None:
-                pair = (found.x, found.y)
+        pair = cert.witness
+        if not isinstance(pair, CollidingPair):
+            pair = falsify_by_sign_enumeration(frame, trials=50, seed=seed)
         if pair is not None:
-            u = as_rep(pair[0])
-            v = as_rep(pair[1])
+            u, v = as_rep(pair.x), as_rep(pair.y)
             points = tuple(
                 DenseVector((-1.0) ** k * u.coords) for k in range(1, prefix + 1)
             )

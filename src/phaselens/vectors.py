@@ -167,10 +167,7 @@ def inner_product(x: VectorRep, y: VectorRep):
         )
         return _simplify(val, x, y)
     if isinstance(y, (DenseVector, FiniteSupportVector)):
-        val = sum(
-            x.entry(int(k)) * np.conj(v) for k, v in _support_pairs(y)
-        )
-        return _simplify(val, x, y)
+        return inner_product(y, x).conjugate()
     raise IncompatibleVector(f"cannot pair {type(x).__name__} with {type(y).__name__}")
 
 
@@ -181,22 +178,13 @@ def _support_pairs(v):
 
 
 def _simplify(val, x, y):
-    val = complex(val)
-    if val.imag == 0.0 and not (_is_complex(x) or _is_complex(y)):
-        return val.real
-    if _is_complex(x) or _is_complex(y):
-        return val
-    return val.real
+    return complex(val) if _is_complex(x) or _is_complex(y) else complex(val).real
 
 
 def _is_complex(v) -> bool:
     if isinstance(v, (DenseVector, FiniteSupportVector)):
         return np.iscomplexobj(v.values if isinstance(v, FiniteSupportVector) else v.coords)
     return False
-
-
-def norm(x: VectorRep) -> float:
-    return x.norm()
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,30 @@ class TestSpark:
             is_full_spark(f)
 
 
+class TestRescaledVectors:
+    """Rescaling a frame vector by a nonzero factor preserves every verdict."""
+
+    @pytest.mark.parametrize("s", [1.0, 1e-9, 1e-11, 1e-14])
+    def test_scaled_full_spark_frame_still_certifies(self, s):
+        f = ExplicitFrame(
+            [DenseVector([s, 0.0]), DenseVector([0.0, 1.0]), DenseVector([1.0, 1.0])]
+        )
+        cert = certify_phase_retrieval(f)
+        assert cert.verdict == Verdict.PHASE_RETRIEVAL
+        assert cert.witness is None
+        assert complement_property(f).verdict == Verdict.PHASE_RETRIEVAL
+        assert is_full_spark(f)
+        assert spark(f).spark == 3
+
+    def test_zero_vector_still_gives_spark_one(self):
+        f = ExplicitFrame(
+            [DenseVector([1e-14, 0.0]), DenseVector([0.0, 0.0]), DenseVector([1.0, 1.0])]
+        )
+        assert spark(f).spark == 1
+        assert not is_full_spark(f)
+        assert certify_phase_retrieval(f).verdict == Verdict.NOT_PHASE_RETRIEVAL
+
+
 class TestComplementProperty:
     def test_fixture_is_phase_retrieval(self, r2_frame):
         cert = complement_property(r2_frame)

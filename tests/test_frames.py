@@ -147,6 +147,22 @@ class TestPairwiseSumFrame:
         assert f.m == 6
         assert list(f.pairs()) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
         assert f.pair(2) == (1, 3)
+        assert f.pair(f.m) == (3, 4)
+        for idx in (0, -1, f.m + 1):
+            with pytest.raises(IndexError):
+                f.pair(idx)
+
+    @pytest.mark.parametrize(
+        "x",
+        [FiniteSupportVector([(2, -1.5), (5, 2.0), (9, 0.25)]), ReciprocalVector()],
+        ids=["finite_support", "reciprocal"],
+    )
+    def test_magnitudes_match_pairwise_loop(self, x):
+        f = PairwiseSumFrame(7)
+        expected = [
+            abs(x.entry(i) + x.entry(j)) for i in range(1, 8) for j in range(i + 1, 8)
+        ]
+        assert analysis_magnitudes(f, x).tolist() == expected
 
     def test_truncation_must_be_at_least_two(self):
         with pytest.raises(IncompatibleVector):

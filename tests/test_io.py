@@ -32,6 +32,20 @@ class TestFrameRoundTrip:
         assert canonical_frame_json(reparsed) == text
         assert np.array_equal(reparsed.matrix, frame.matrix)
 
+    def test_complex_frame_accepts_bare_real_entries(self):
+        bare = {"field": "complex", "dim": 2, "vectors": [[1.0, 0.0], [1.0, [0.0, 1.0]]]}
+        pairs = {"field": "complex", "dim": 2, "vectors": [[[1, 0], [0, 0]], [[1, 0], [0, 1]]]}
+        a, b = frame_from_dict(bare), frame_from_dict(pairs)
+        assert a.matrix.dtype == np.complex128
+        assert np.array_equal(a.matrix, b.matrix)
+        assert frame_fingerprint(a) == frame_fingerprint(b)
+
+    def test_star_import_does_not_shadow_stdlib_io(self):
+        ns = {}
+        exec("from phaselens import *", ns)
+        assert "io" not in ns
+        assert "load_frame" in ns and "certify_phase_retrieval" in ns
+
     def test_pairwise_sum_round_trip(self):
         frame = PairwiseSumFrame(50)
         again = frame_from_dict(frame_to_dict(frame))
