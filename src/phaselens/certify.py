@@ -1,10 +1,14 @@
-"""Phase-retrieval certification: spark, complement property, falsifiers.
+"""Phase-retrieval certification: spark, complement property, falsifier.
 
 Two independent routes decide the real case:
 
 * ``complement_property`` enumerates index subsets and rank-checks each side;
-* ``falsify_by_sign_enumeration`` constructs explicit colliding pairs and
-  verifies them directly through the magnitude map.
+* ``falsify_by_sign_enumeration`` builds a colliding pair from the null spaces
+  of the two sides of a sign split and verifies it directly through the
+  magnitude map.  It draws no random numbers.
+
+A complex frame is refuted only by a failing subset; when the complement
+property holds, the verdict is inconclusive.
 
 A certificate always carries a machine-checkable witness for a negative
 verdict: either a failing subset (both spans deficient) or a colliding pair
@@ -27,8 +31,15 @@ from .errors import (
     IncompatibleVector,
     SingularTransformError,
 )
-from .frames import COMPLEX, REAL, ExplicitFrame, analysis_magnitudes
-from .metrics import bures_distance_arrays, sign_lift
+from .frames import (
+    COMPLEX,
+    REAL,
+    ExplicitFrame,
+    _numerical_rank,
+    _unit_rows,
+    analysis_magnitudes,
+)
+from .metrics import bures_distance_arrays, sign_patterns
 from .vectors import DenseVector, VectorRep
 
 
@@ -41,7 +52,6 @@ class Verdict(str, Enum):
 class Method(str, Enum):
     COMPLEMENT_PROPERTY = "complement_property"
     FULL_SPARK_COUNT = "full_spark_count"
-    SIGN_ENUMERATION = "sign_enumeration"
     NECESSARY_CONDITION_ONLY = "necessary_condition_only"
 
 
@@ -106,40 +116,26 @@ class SparkResult:
         return self.spark is None
 
 
-def _numerical_rank(sv: np.ndarray, rank_rtol: float) -> int:
-    """Count of descending singular values above rank_rtol times the largest."""
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rank_rtol * sv[0]))
-
-
-def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit norm, zero rows kept zero.  Rank decisions run on
-    these, so rescaling a frame vector cannot change a verdict."""
-    norms = np.linalg.norm(matrix, axis=1)
-    return matrix / np.where(norms > 0.0, norms, 1.0)[:, None]
-
-
-def _subset_rank(unit: np.ndarray, indices, rank_rtol=config.RANK_RTOL) -> int:
+def _subset_rank(unit: np.ndarray, indices) -> int:
     """Rank of the rows of ``unit`` at the 1-based ``indices``."""
     if len(indices) == 0:
         return 0
     sv = np.linalg.svd(unit[[i - 1 for i in indices], :], compute_uv=False)
-    return _numerical_rank(sv, rank_rtol)
+    return _numerical_rank(sv)
 
 
-def _first_dependent(frame: ExplicitFrame, sizes, rank_rtol) -> Optional[Tuple[int, ...]]:
+def _first_dependent(frame: ExplicitFrame, sizes) -> Optional[Tuple[int, ...]]:
     """First linearly dependent column subset, by size in the order given and
     lexicographically within a size; None when all are independent."""
     unit = _unit_rows(frame.matrix)
     for k in sizes:
         for combo in itertools.combinations(range(1, frame.m + 1), k):
-            if _subset_rank(unit, combo, rank_rtol) < k:
+            if _subset_rank(unit, combo) < k:
                 return combo
     return None
 
 
-def spark(frame: ExplicitFrame, rank_rtol=config.RANK_RTOL) -> SparkResult:
+def spark(frame: ExplicitFrame) -> SparkResult:
     """Size of the smallest linearly dependent column subset.
 
     Subsets are scanned by increasing size, lexicographically within a size,
@@ -148,7 +144,7 @@ def spark(frame: ExplicitFrame, rank_rtol=config.RANK_RTOL) -> SparkResult:
     the all-independent marker.
     """
     m, n = frame.m, frame.dim
-    combo = _first_dependent(frame, range(1, min(m, n) + 1), rank_rtol)
+    combo = _first_dependent(frame, range(1, min(m, n) + 1))
     if combo is not None:
         return SparkResult(spark=len(combo), witness=combo)
     if m <= n:
@@ -158,12 +154,12 @@ def spark(frame: ExplicitFrame, rank_rtol=config.RANK_RTOL) -> SparkResult:
     return SparkResult(spark=n + 1, witness=tuple(range(1, n + 2)))
 
 
-def is_full_spark(frame: ExplicitFrame, rank_rtol=config.RANK_RTOL) -> bool:
+def is_full_spark(frame: ExplicitFrame) -> bool:
     """True iff every n columns are linearly independent (requires m >= n)."""
     m, n = frame.m, frame.dim
     if m < n:
         raise IncompatibleVector(f"full spark needs m >= n, got m={m}, n={n}")
-    return _first_dependent(frame, (n,), rank_rtol) is None
+    return _first_dependent(frame, (n,)) is None
 
 
 def _complement_pairs(m: int):
@@ -175,9 +171,7 @@ def _complement_pairs(m: int):
             yield (1,) + tail
 
 
-def _failing_subset(
-    frame: ExplicitFrame, subset_cap: int, rank_rtol: float
-) -> Optional[FailingSubset]:
+def _failing_subset(frame: ExplicitFrame, subset_cap: int) -> Optional[FailingSubset]:
     """First sigma in ``_complement_pairs`` order such that neither sigma nor
     its complement spans, or None when the complement property holds."""
     m, n = frame.m, frame.dim
@@ -185,17 +179,15 @@ def _failing_subset(
         raise EnumerationCapExceeded(f"m={m} exceeds subset cap {subset_cap}")
     unit = _unit_rows(frame.matrix)
     for sigma in _complement_pairs(m):
-        if _subset_rank(unit, sigma, rank_rtol) < n:
+        if _subset_rank(unit, sigma) < n:
             comp = tuple(i for i in range(1, m + 1) if i not in sigma)
-            if _subset_rank(unit, comp, rank_rtol) < n:
+            if _subset_rank(unit, comp) < n:
                 return FailingSubset(sigma)
     return None
 
 
 def complement_property(
-    frame: ExplicitFrame,
-    subset_cap: int = config.DEFAULT_SUBSET_CAP,
-    rank_rtol: float = config.RANK_RTOL,
+    frame: ExplicitFrame, subset_cap: int = config.DEFAULT_SUBSET_CAP
 ) -> Certificate:
     """Check that every index subset or its complement spans.
 
@@ -203,127 +195,99 @@ def complement_property(
     Complex field: the property is only necessary, so a holding check yields
     Inconclusive; a failing subset still refutes phase retrieval.
     """
-    failing = _failing_subset(frame, subset_cap, rank_rtol)
+    failing = _failing_subset(frame, subset_cap)
     if failing is not None:
         verdict, method = Verdict.NOT_PHASE_RETRIEVAL, Method.COMPLEMENT_PROPERTY
     elif frame.field == COMPLEX:
         verdict, method = Verdict.INCONCLUSIVE, Method.NECESSARY_CONDITION_ONLY
     else:
         verdict, method = Verdict.PHASE_RETRIEVAL, Method.COMPLEMENT_PROPERTY
-    params = {"tolerance": rank_rtol, "subset_cap": subset_cap}
+    params = {"tolerance": config.RANK_RTOL, "subset_cap": subset_cap}
     return Certificate(verdict, method, io.frame_fingerprint(frame), failing, params)
 
 
-def _is_collision(frame, x, y, realize_rtol, class_rtol) -> bool:
+def _is_collision(frame, x, y) -> bool:
     ax = analysis_magnitudes(frame, x)
     ay = analysis_magnitudes(frame, y)
     scale = float(np.linalg.norm(ax))
     if scale == 0.0:
         return False
-    if float(np.max(np.abs(ax - ay))) > realize_rtol * scale:
+    if float(np.max(np.abs(ax - ay))) > config.REALIZE_RTOL * scale:
         return False
     xd, yd = frame.coerce(x), frame.coerce(y)
-    return bures_distance_arrays(xd, yd) > class_rtol * np.linalg.norm(xd)
+    return bures_distance_arrays(xd, yd) > config.COLLISION_CLASS_RTOL * np.linalg.norm(xd)
 
 
-def _sign_collision_search(
-    frame: ExplicitFrame,
-    trials: int,
-    seed: int,
-    sign_cap: int,
-    realize_rtol: float = config.REALIZE_RTOL,
-    class_rtol: float = config.COLLISION_CLASS_RTOL,
-) -> Optional[CollidingPair]:
-    """Shared engine: random-sample phase, then structured null-space phase.
+def _sign_collision_search(frame: ExplicitFrame, sign_cap: int) -> Optional[CollidingPair]:
+    """First colliding pair built from a sign split, or None.
 
-    The structured phase splits the index set by each sign pattern and builds
-    x = u + v, y = u - v from the two orthocomplements; it catches frames
-    whose colliding pairs form a measure-zero set, which random sampling
-    cannot hit.
+    Each sign pattern splits the index set; when neither side spans, x = u + w
+    and y = u - w, with u orthogonal to the minus side and w to the plus side,
+    have equal magnitude patterns.  Patterns run in ``sign_patterns`` order,
+    so the pair is deterministic, and each pair is checked through the
+    magnitude map before it is returned.
     """
-    m, n = frame.m, frame.dim
+    m = frame.m
     if m > sign_cap:
         raise EnumerationCapExceeded(f"m={m} exceeds sign cap {sign_cap}")
-    a = frame.matrix.conj()
-    signs, solve = sign_lift(a)
-    rng = np.random.default_rng(seed)
-
-    for _ in range(trials):
-        if frame.field == REAL:
-            x = rng.standard_normal(n)
-        else:
-            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        ys, ok = solve(np.abs(a @ x), realize_rtol)
-        for row in np.flatnonzero(ok):
-            y = ys[row]
-            if bures_distance_arrays(x, y) > class_rtol * np.linalg.norm(x):
-                return CollidingPair(DenseVector(x), DenseVector(y))
-
     unit = _unit_rows(frame.matrix)
-    for row in signs[1:]:  # row 0 is all +1; every other row has both signs
+    for row in sign_patterns(m)[1:]:  # row 0 is all +1; every other row has both signs
         u = _null_vector(unit[row < 0])
         if u is None:
             continue
         w = _null_vector(unit[row > 0])
         if w is None:
             continue
-        x, y = u + w, u - w
-        xv, yv = DenseVector(x), DenseVector(y)
-        if _is_collision(frame, xv, yv, realize_rtol, class_rtol):
+        xv, yv = DenseVector(u + w), DenseVector(u - w)
+        if _is_collision(frame, xv, yv):
             return CollidingPair(xv, yv)
     return None
 
 
-def _null_vector(rows: np.ndarray, rank_rtol=config.RANK_RTOL):
+def _null_vector(rows: np.ndarray):
     """A unit vector orthogonal to all given rows, or None if they span."""
     _, sv, vh = np.linalg.svd(rows, full_matrices=True)
-    rank = _numerical_rank(sv, rank_rtol)
+    rank = _numerical_rank(sv)
     if rank >= rows.shape[1]:
         return None
     return vh[rank].conj()
 
 
 def falsify_by_sign_enumeration(
-    frame: ExplicitFrame,
-    trials: int = 50,
-    seed: int = 0,
-    sign_cap: int = config.DEFAULT_SIGN_CAP,
+    frame: ExplicitFrame, sign_cap: int = config.DEFAULT_SIGN_CAP
 ) -> Optional[CollidingPair]:
-    """Search for a colliding pair of a real frame.
+    """Construct a colliding pair of a real frame, or return None.
 
-    Per random x the 2^(m-1) sign patterns are applied to the magnitude
-    pattern and solved in least squares; a solution with small residual and
-    class distance above threshold is a collision.  A structured null-space
-    phase follows, so every real frame failing the complement property yields
-    a collision.  Returns None when no collision is found.
+    For each split of the index set into two sides (one per sign pattern
+    with the first sign +1), a vector orthogonal to each side gives the pair
+    x = u + w, y = u - w whenever neither side spans.  A real frame fails the
+    complement property exactly when some split has two such sides, so for a
+    spanning frame None means phase retrieval.  Deterministic: no sampling.
     """
     if frame.field != REAL:
         raise FieldError("sign-enumeration falsifier requires a real frame")
-    return _sign_collision_search(frame, trials, seed, sign_cap)
+    return _sign_collision_search(frame, sign_cap)
 
 
 def certify_phase_retrieval(
     frame: ExplicitFrame,
     subset_cap: int = config.DEFAULT_SUBSET_CAP,
     sign_cap: int = config.DEFAULT_SIGN_CAP,
-    trials: int = 50,
     seed: int = 0,
-    rank_rtol: float = config.RANK_RTOL,
 ) -> Certificate:
     """Full certification pipeline.
 
     Real field: the count bound m >= 2n-1 is checked first (violations are
-    refuted immediately, preferably with a constructed colliding pair); the
+    refuted with a constructed colliding pair, or else a failing subset); the
     complement property is the exact decision otherwise.  Complex field: the
-    complement property is necessary only, and the verdict stays Inconclusive
-    unless a sign-pattern collision is found (complex phase relaxation is not
-    attempted).
+    complement property is necessary only, so a failing subset refutes and
+    anything else is Inconclusive.  Certification draws no random numbers;
+    ``seed`` is only recorded in the certificate's parameters.
     """
     params = {
-        "tolerance": rank_rtol,
+        "tolerance": config.RANK_RTOL,
         "subset_cap": subset_cap,
         "sign_cap": sign_cap,
-        "trials": trials,
         "seed": seed,
     }
     fp = io.frame_fingerprint(frame)
@@ -332,29 +296,25 @@ def certify_phase_retrieval(
         return Certificate(verdict, method, fp, witness, params)
 
     if frame.field == REAL and frame.m < 2 * frame.dim - 1:
-        pair = _sign_collision_search(frame, trials, seed, sign_cap)
+        pair = _sign_collision_search(frame, sign_cap)
         if pair is not None:
             return done(Verdict.NOT_PHASE_RETRIEVAL, Method.NECESSARY_CONDITION_ONLY, pair)
         # fall through: complement property must also fail and provides a
         # failing-subset witness
-    failing = _failing_subset(frame, subset_cap, rank_rtol)
+    failing = _failing_subset(frame, subset_cap)
     if failing is not None:
         return done(Verdict.NOT_PHASE_RETRIEVAL, Method.COMPLEMENT_PROPERTY, failing)
     if frame.field == REAL:
         return done(Verdict.PHASE_RETRIEVAL, Method.COMPLEMENT_PROPERTY)
-    # complex, complement property holds: try a sign-only falsification
-    pair = _sign_collision_search(frame, trials, seed, sign_cap)
-    if pair is not None:
-        return done(Verdict.NOT_PHASE_RETRIEVAL, Method.SIGN_ENUMERATION, pair)
     return done(Verdict.INCONCLUSIVE, Method.NECESSARY_CONDITION_ONLY)
 
 
-def transform_frame(frame: ExplicitFrame, u, rank_rtol=config.RANK_RTOL) -> ExplicitFrame:
+def transform_frame(frame: ExplicitFrame, u) -> ExplicitFrame:
     """{U phi_j} for an invertible operator U; preserves the PR verdict."""
     u = np.asarray(u)
     if u.shape != (frame.dim, frame.dim):
         raise IncompatibleVector(f"operator shape {u.shape} vs dim {frame.dim}")
-    if _numerical_rank(np.linalg.svd(u, compute_uv=False), rank_rtol) < frame.dim:
+    if _numerical_rank(np.linalg.svd(u, compute_uv=False)) < frame.dim:
         raise SingularTransformError("operator is singular under the rank tolerance")
     new = frame.matrix @ u.T
     field_tag = frame.field

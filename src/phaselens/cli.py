@@ -57,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", choices=("real", "complex"), default=None)
     p.add_argument("--tol", type=float, default=config.DEFAULT_TOL)
     p.add_argument("--grid", type=int, default=config.DEFAULT_GRID_SIZE)
-    p.add_argument("--truncation", type=int, default=config.DEFAULT_TRUNCATION)
     p.add_argument("--prefix", type=int, default=config.DEFAULT_PREFIX)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap-subsets", type=int, default=config.DEFAULT_SUBSET_CAP)
@@ -86,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args):
-    for name in ("tol", "grid", "truncation", "prefix", "cap_subsets", "cap_signs"):
+    for name in ("tol", "grid", "prefix", "cap_subsets", "cap_signs"):
         if getattr(args, name) <= 0:
             raise FrameFormatError(f"--{name.replace('_', '-')} must be positive")
 

@@ -162,27 +162,49 @@ def frame_operator(frame: ExplicitFrame) -> np.ndarray:
     return (s + s.conj().T) / 2.0  # symmetrize away rounding
 
 
-def frame_bounds(frame: ExplicitFrame, rank_rtol: float = config.RANK_RTOL) -> FrameBounds:
+def frame_bounds(frame: ExplicitFrame) -> FrameBounds:
     """Optimal bounds A = lambda_min(S), B = lambda_max(S).
 
-    Raises NotAFrameError when the family fails to span under the tolerance.
+    Raises NotAFrameError when A is numerically zero against B.
     """
     s = frame_operator(frame)
     eigs = np.linalg.eigvalsh(s)
     lo, hi = float(eigs[0]), float(eigs[-1])
-    if hi <= 0.0 or lo <= rank_rtol * hi:
+    if hi <= 0.0 or lo <= config.RANK_RTOL * hi:
         raise NotAFrameError(
             f"smallest frame-operator eigenvalue {lo:.3e} is numerically zero"
         )
     return FrameBounds(lower=lo, upper=hi)
 
 
-def canonical_dual(frame: ExplicitFrame, rank_rtol: float = config.RANK_RTOL) -> ExplicitFrame:
+def canonical_dual(frame: ExplicitFrame) -> ExplicitFrame:
     """The dual family {S^{-1} phi_j}; reconstruction x = sum <x,phi_j> S^{-1}phi_j."""
-    frame_bounds(frame, rank_rtol)  # spanning check
+    frame_bounds(frame)  # spanning check
     s = frame_operator(frame)
     dual = np.linalg.solve(s, frame.matrix.T).T
     return ExplicitFrame([DenseVector(row) for row in dual], field=frame.field)
+
+
+def _numerical_rank(sv: np.ndarray) -> int:
+    """Count of descending singular values above RANK_RTOL times the largest."""
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(sv > config.RANK_RTOL * sv[0]))
+
+
+def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm, zero rows kept zero.  Rank decisions run on
+    these, so rescaling a frame vector cannot change a verdict."""
+    norms = np.linalg.norm(matrix, axis=1)
+    return matrix / np.where(norms > 0.0, norms, 1.0)[:, None]
+
+
+def _require_spanning(frame: ExplicitFrame) -> None:
+    """Raise NotAFrameError unless the frame vectors span, by the rank rule on
+    unit rows, so that rescaling a vector cannot change the answer."""
+    rank = _numerical_rank(np.linalg.svd(_unit_rows(frame.matrix), compute_uv=False))
+    if rank < frame.dim:
+        raise NotAFrameError(f"frame vectors span rank {rank} of dimension {frame.dim}")
 
 
 def _require_explicit(frame):

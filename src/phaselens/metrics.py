@@ -21,6 +21,7 @@ from .frames import (
     Frame,
     FrameBounds,
     PairwiseSumFrame,
+    _require_spanning,
     analysis_magnitudes,
     coefficients,
     frame_bounds,
@@ -52,27 +53,11 @@ def bures_distance(x, y) -> float:
     return _bures(x.norm(), y.norm(), abs(inner_product(x, y)))
 
 
-def sign_lift(a: np.ndarray):
-    """Per-frame least-squares solver for a y = eps * c, where row j of ``a`` is
-    phi_j conjugated and eps runs over the rows of ``signs``: every sign pattern
-    with the first sign +1 (eps and -eps give class-equal solutions), in binary
-    counting order.  Returns ``(signs, solve)``; ``solve(c, rtol)`` gives one
-    solution per pattern and the mask of those with residual <= rtol * |c|."""
-    tails = np.array(list(itertools.product((1.0, -1.0), repeat=a.shape[0] - 1)))
-    signs = np.hstack([np.ones((tails.shape[0], 1)), tails])
-    pinv_t = np.linalg.pinv(a).T
-    # work arrays kept across calls: allocating them per call made the C heap trim
-    # and refault its pages on every one of the falsifier's trials
-    targets = np.empty(signs.shape)
-    back = np.empty(signs.shape, dtype=np.result_type(a, pinv_t))
-
-    def solve(magnitudes: np.ndarray, rtol: float):
-        np.multiply(signs, magnitudes, out=targets)
-        ys = targets @ pinv_t
-        np.subtract(np.matmul(ys, a.T, out=back), targets, out=back)
-        return ys, np.linalg.norm(back, axis=1) <= rtol * np.linalg.norm(magnitudes)
-
-    return signs, solve
+def sign_patterns(m: int) -> np.ndarray:
+    """Every sign pattern of length m with the first sign +1 (eps and -eps give
+    class-equal solutions), one per row, in binary counting order."""
+    tails = np.array(list(itertools.product((1.0, -1.0), repeat=m - 1)))
+    return np.hstack([np.ones((tails.shape[0], 1)), tails])
 
 
 def d_phi(frame: Frame, x, y) -> float:
@@ -134,7 +119,6 @@ def frak_distance(
     x,
     y,
     grid_size: int = config.DEFAULT_GRID_SIZE,
-    theta_width: float = config.DEFAULT_THETA_WIDTH,
 ) -> FrakResult:
     """min_theta sup_j |<x - e^{i theta} y, phi_j>| over a finite frame.
 
@@ -188,7 +172,7 @@ def frak_distance(
     p = hi - GOLDEN * (hi - lo)
     q = lo + GOLDEN * (hi - lo)
     gp, gq = g(p), g(q)
-    while hi - lo > theta_width:
+    while hi - lo > config.DEFAULT_THETA_WIDTH:
         if gp <= gq:
             hi, q, gq = q, p, gp
             p = hi - GOLDEN * (hi - lo)
@@ -206,7 +190,7 @@ def frak_distance(
     return FrakResult(
         value=best_val,
         theta_star=theta,
-        error_bound=lipschitz * theta_width,
+        error_bound=lipschitz * config.DEFAULT_THETA_WIDTH,
     )
 
 
@@ -246,7 +230,6 @@ def inequality_report(
     x,
     y,
     grid_size: int = config.DEFAULT_GRID_SIZE,
-    theta_width: float = config.DEFAULT_THETA_WIDTH,
 ) -> MetricReport:
     """Compute D, d_Phi, the minimax distance and the slack of each inequality
     in the chain:
@@ -257,7 +240,7 @@ def inequality_report(
     bounds = frame_bounds(frame)  # raises NotAFrameError when not spanning
     d_val = bures_distance(x, y)
     dphi_val = d_phi(frame, x, y)
-    frak = frak_distance(frame, x, y, grid_size=grid_size, theta_width=theta_width)
+    frak = frak_distance(frame, x, y, grid_size=grid_size)
     alpha_diff = float(
         np.linalg.norm(analysis_magnitudes(frame, x) - analysis_magnitudes(frame, y))
     )
@@ -278,7 +261,7 @@ def inequality_report(
         bounds_used=bounds,
         m=m,
         inequality_slacks=slacks,
-        parameters={"grid_size": grid_size, "theta_width": theta_width},
+        parameters={"grid_size": grid_size, "theta_width": config.DEFAULT_THETA_WIDTH},
     )
 
 
@@ -286,7 +269,6 @@ def realize_from_magnitudes(
     frame: ExplicitFrame,
     target,
     sign_cap: int = config.DEFAULT_SIGN_CAP,
-    realize_rtol: float = config.REALIZE_RTOL,
 ) -> Optional[QuotientPoint]:
     """Invert a magnitude pattern over a real spanning frame, if possible.
 
@@ -297,7 +279,7 @@ def realize_from_magnitudes(
     """
     if frame.field != REAL:
         raise FieldError("magnitude realization requires a real frame")
-    frame_bounds(frame)  # spanning check
+    _require_spanning(frame)
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (frame.m,):
         raise IncompatibleVector(f"target length {target.shape} vs frame count {frame.m}")
@@ -307,9 +289,11 @@ def realize_from_magnitudes(
         raise EnumerationCapExceeded(f"m={frame.m} exceeds sign cap {sign_cap}")
     if float(np.linalg.norm(target)) == 0.0:
         return QuotientPoint(DenseVector(np.zeros(frame.dim)))
-    _, solve = sign_lift(frame.matrix)
-    ys, ok = solve(target, realize_rtol)
-    hits = np.flatnonzero(ok)
+    a = frame.matrix
+    targets = sign_patterns(frame.m) * target
+    ys = targets @ np.linalg.pinv(a).T
+    residuals = np.linalg.norm(ys @ a.T - targets, axis=1)
+    hits = np.flatnonzero(residuals <= config.REALIZE_RTOL * np.linalg.norm(target))
     if hits.size == 0:
         return None
     return QuotientPoint(DenseVector(ys[hits[0]]))

@@ -28,8 +28,8 @@ from .frames import (
     ExplicitFrame,
     Frame,
     PairwiseSumFrame,
+    _require_spanning,
     analysis_magnitudes,
-    frame_bounds,
 )
 from .io import vector_to_json
 from .metrics import d_phi, realize_from_magnitudes
@@ -139,9 +139,9 @@ class ConvergenceReport:
     truncation: Optional[int] = None
     parameters: dict = field(default_factory=dict)
 
-    def to_dict(self, max_trace_points: int = 512) -> dict:
+    def to_dict(self) -> dict:
         traces = np.asarray(self.residual_traces, dtype=float)
-        step = max(1, -(-traces.shape[1] // max_trace_points))
+        step = max(1, -(-traces.shape[1] // 512))  # at most 512 points per trace
         if isinstance(self.witness, (DenseVector, FiniteSupportVector, ReciprocalVector)):
             wit = vector_to_json(self.witness)
         else:
@@ -229,7 +229,6 @@ def default_tau_w_witnesses(
     truncation: Optional[int] = None,
     seed: int = 0,
     count_random: int = 32,
-    include_reciprocal: Optional[bool] = None,
 ) -> List[VectorRep]:
     """Standard test-vector set: basis prefix, random unit vectors, and the
     reciprocal sequence when the ambient space is the sequence space."""
@@ -243,8 +242,6 @@ def default_tau_w_witnesses(
         for _ in range(count_random):
             v = rng.standard_normal(dim)
             witnesses.append(DenseVector(v / np.linalg.norm(v)))
-        if include_reciprocal:
-            witnesses.append(ReciprocalVector())
         return witnesses
     n = truncation or config.DEFAULT_TRUNCATION
     for k in range(1, min(n, 16) + 1):
@@ -254,8 +251,7 @@ def default_tau_w_witnesses(
         vals = rng.standard_normal(support.size)
         vals /= np.linalg.norm(vals)
         witnesses.append(FiniteSupportVector(list(zip(support.tolist(), vals))))
-    if include_reciprocal is None or include_reciprocal:
-        witnesses.append(ReciprocalVector())
+    witnesses.append(ReciprocalVector())
     return witnesses
 
 
@@ -386,7 +382,7 @@ def finite_dim_coincidence_suite(
     """
     if frame.field != "real":
         raise IncompatibleVector("coincidence suite requires a real frame")
-    frame_bounds(frame)  # NotAFrameError when not spanning
+    _require_spanning(frame)
     cert = certify_phase_retrieval(frame, seed=seed)
     rng = np.random.default_rng(seed)
     n = frame.dim
@@ -419,7 +415,7 @@ def finite_dim_coincidence_suite(
     else:
         pair = cert.witness
         if not isinstance(pair, CollidingPair):
-            pair = falsify_by_sign_enumeration(frame, trials=50, seed=seed)
+            pair = falsify_by_sign_enumeration(frame)
         if pair is not None:
             u, v = as_rep(pair.x), as_rep(pair.y)
             points = tuple(

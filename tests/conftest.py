@@ -1,12 +1,25 @@
 """Shared fixtures: the three reference frames and random-frame helpers."""
 
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
 
 from phaselens import DenseVector, ExplicitFrame
 from phaselens.repro import c2_four_vector_frame, onb_r2_frame, r2_full_spark_frame
+
+try:
+    from hypothesis import settings
+    from hypothesis.configuration import set_hypothesis_home_dir
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # the same examples on every run and no example database; the cache of
+    # source constants, written even so, goes to the temp dir, not the checkout
+    settings.register_profile("phaselens", derandomize=True, database=None, deadline=None)
+    settings.load_profile("phaselens")
+    set_hypothesis_home_dir(pathlib.Path(tempfile.gettempdir()) / "phaselens-hypothesis")
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "data"
 

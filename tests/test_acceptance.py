@@ -153,7 +153,7 @@ def test_criterion_05_certification_suite():
         m = int(rng.integers(n, 10))
         frame = random_real_frame(rng, m, n)
         positive = complement_property(frame).verdict == Verdict.PHASE_RETRIEVAL
-        pair = falsify_by_sign_enumeration(frame, trials=50, seed=0)
+        pair = falsify_by_sign_enumeration(frame)
         if positive != (pair is None):
             disagreements += 1
     assert disagreements == 0

@@ -7,6 +7,7 @@ from phaselens import (
     AlternatingSign,
     ConvergenceVerdict,
     DenseVector,
+    ExplicitFrame,
     ExplicitList,
     FiniteSupportVector,
     IncompatibleVector,
@@ -184,11 +185,19 @@ class TestCoincidenceSuite:
     def test_requires_real_spanning_frame(self, c2_frame):
         with pytest.raises(IncompatibleVector):
             finite_dim_coincidence_suite(c2_frame, trials=2)
-        from phaselens import ExplicitFrame
-
         degenerate = ExplicitFrame([DenseVector([1.0, 0.0]), DenseVector([2.0, 0.0])])
         with pytest.raises(NotAFrameError):
             finite_dim_coincidence_suite(degenerate, trials=2)
+
+    def test_spanning_check_ignores_vector_scale(self):
+        # certifies as phase retrieval, though the smallest eigenvalue of its
+        # frame operator is 6.25e-13 times the largest
+        s = 1e-6
+        rows = ([s, 0, 0], [0, 1, 0], [0, 0, 1], [s, 1, 0], [s, 0, 1], [0, 1, 1])
+        frame = ExplicitFrame([DenseVector(r) for r in rows])
+        rep = finite_dim_coincidence_suite(frame, trials=2, seed=0)
+        assert rep.pr_certified
+        assert rep.mismatches == 0
 
     def test_random_certified_r3_frame(self):
         rng = np.random.default_rng(71)
