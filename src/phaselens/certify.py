@@ -51,7 +51,6 @@ class Verdict(str, Enum):
 
 class Method(str, Enum):
     COMPLEMENT_PROPERTY = "complement_property"
-    FULL_SPARK_COUNT = "full_spark_count"
     NECESSARY_CONDITION_ONLY = "necessary_condition_only"
 
 

@@ -122,8 +122,20 @@ class PairwiseSumFrame:
     def entries(self, x) -> np.ndarray:
         """First-N sequence entries of x."""
         x = as_rep(x)
-        if isinstance(x, (DenseVector, FiniteSupportVector, ReciprocalVector)):
-            return np.array([x.entry(k) for k in range(1, self.truncation + 1)])
+        n = self.truncation
+        if isinstance(x, ReciprocalVector):
+            return 1.0 / np.arange(1, n + 1)
+        if isinstance(x, DenseVector):
+            out = np.zeros(n, dtype=x.coords.dtype)
+            out[: min(n, x.dim)] = x.coords[:n]
+            return out
+        if isinstance(x, FiniteSupportVector):
+            inside = x.indices <= n
+            if not inside.any():  # only zeros, which are real
+                return np.zeros(n)
+            out = np.zeros(n, dtype=x.values.dtype)
+            out[x.indices[inside] - 1] = x.values[inside]
+            return out
         raise IncompatibleVector(type(x).__name__)
 
     def __repr__(self):
@@ -192,11 +204,16 @@ def _numerical_rank(sv: np.ndarray) -> int:
     return int(np.count_nonzero(sv > config.RANK_RTOL * sv[0]))
 
 
+def _row_scale(matrix: np.ndarray) -> np.ndarray:
+    """Row norms, with 1 standing in for a zero row."""
+    norms = np.linalg.norm(matrix, axis=1)
+    return np.where(norms > 0.0, norms, 1.0)
+
+
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     """Rows scaled to unit norm, zero rows kept zero.  Rank decisions run on
     these, so rescaling a frame vector cannot change a verdict."""
-    norms = np.linalg.norm(matrix, axis=1)
-    return matrix / np.where(norms > 0.0, norms, 1.0)[:, None]
+    return matrix / _row_scale(matrix)[:, None]
 
 
 def _require_spanning(frame: ExplicitFrame) -> None:

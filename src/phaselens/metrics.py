@@ -22,6 +22,7 @@ from .frames import (
     FrameBounds,
     PairwiseSumFrame,
     _require_spanning,
+    _row_scale,
     analysis_magnitudes,
     coefficients,
     frame_bounds,
@@ -158,9 +159,11 @@ def frak_distance(
         return float(np.max(np.abs(a - np.exp(1j * theta) * b)))
 
     thetas = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    values = np.max(
-        np.abs(a[:, None] - np.exp(1j * thetas)[None, :] * b[:, None]), axis=0
-    )
+    phases = np.exp(1j * thetas)
+    # sup over the frame one row at a time: no (m, grid) temporary
+    values = np.abs(a[0] - phases * b[0])
+    for a_j, b_j in zip(a[1:], b[1:]):
+        np.maximum(values, np.abs(a_j - phases * b_j), out=values)
     k0 = int(np.argmin(values))
     best_val = float(values[k0])
     best_theta = float(thetas[k0])
@@ -265,35 +268,64 @@ def inequality_report(
     )
 
 
+# Pattern rows solved per block: bounds the (targets, patterns, m) temporaries
+# of one realizer call, whatever the number of targets.
+_REALIZE_BLOCK_ROWS = 4096
+
+
 def realize_from_magnitudes(
     frame: ExplicitFrame,
     target,
     sign_cap: int = config.DEFAULT_SIGN_CAP,
-) -> Optional[QuotientPoint]:
+) -> Optional[QuotientPoint] | list[Optional[QuotientPoint]]:
     """Invert a magnitude pattern over a real spanning frame, if possible.
 
     Enumerates sign patterns (first sign fixed +1, binary counting order) and
     solves <y, phi_j> = eps_j target_j in least squares; the first pattern
     whose residual is within tolerance wins, so results are deterministic.
-    Returns None when no signing of the target is realizable.
+    The system is solved on unit rows (row j and target_j divided by
+    |phi_j|), which has the same exact solutions, so the tolerance does not
+    depend on how a frame vector is scaled.
+
+    A 1-D target returns a QuotientPoint, or None when no signing of it is
+    realizable.  A (P, m) block of targets returns a list of P such results,
+    each equal to the result of its own 1-D call.
     """
     if frame.field != REAL:
         raise FieldError("magnitude realization requires a real frame")
     _require_spanning(frame)
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != (frame.m,):
-        raise IncompatibleVector(f"target length {target.shape} vs frame count {frame.m}")
-    if np.any(target < 0):
+    targets = np.asarray(target, dtype=np.float64)
+    m = frame.m
+    if targets.ndim not in (1, 2) or targets.shape[-1] != m:
+        raise IncompatibleVector(f"target length {targets.shape} vs frame count {m}")
+    if np.any(targets < 0):
         raise IncompatibleVector("magnitude targets must be nonnegative")
-    if frame.m > sign_cap:
-        raise EnumerationCapExceeded(f"m={frame.m} exceeds sign cap {sign_cap}")
-    if float(np.linalg.norm(target)) == 0.0:
-        return QuotientPoint(DenseVector(np.zeros(frame.dim)))
-    a = frame.matrix
-    targets = sign_patterns(frame.m) * target
-    ys = targets @ np.linalg.pinv(a).T
-    residuals = np.linalg.norm(ys @ a.T - targets, axis=1)
-    hits = np.flatnonzero(residuals <= config.REALIZE_RTOL * np.linalg.norm(target))
-    if hits.size == 0:
-        return None
-    return QuotientPoint(DenseVector(ys[hits[0]]))
+    if m > sign_cap:
+        raise EnumerationCapExceeded(f"m={m} exceeds sign cap {sign_cap}")
+    block = targets.reshape(-1, m)
+    scale = _row_scale(frame.matrix)
+    a = frame.matrix / scale[:, None]
+    unit = block / scale
+    tols = config.REALIZE_RTOL * np.linalg.norm(unit, axis=1)
+    zero = ~block.any(axis=1)
+    signs = sign_patterns(m)
+    pinv_t = np.linalg.pinv(a).T
+    step = max(1, _REALIZE_BLOCK_ROWS // signs.shape[0])
+    results = []
+    for lo in range(0, block.shape[0], step):
+        signed = signs * unit[lo:lo + step, None, :]  # (p, patterns, m)
+        ys = signed @ pinv_t
+        fit = ys @ a.T
+        fit -= signed
+        fit *= fit
+        hits = np.sqrt(fit.sum(axis=2)) <= tols[lo:lo + step, None]
+        first = hits.argmax(axis=1)
+        found = hits[np.arange(first.size), first]
+        for i, (k, ok, nil) in enumerate(zip(first, found, zero[lo:lo + step])):
+            if nil:
+                results.append(QuotientPoint(DenseVector(np.zeros(frame.dim))))
+            elif ok:
+                results.append(QuotientPoint(DenseVector(ys[i, k])))
+            else:
+                results.append(None)
+    return results if targets.ndim == 2 else results[0]

@@ -255,6 +255,16 @@ def default_tau_w_witnesses(
     return witnesses
 
 
+def _real_dense_rows(vectors: Sequence[VectorRep]) -> Optional[np.ndarray]:
+    """The vectors stacked as rows when all are real dense vectors of one
+    dimension, else None."""
+    if not all(isinstance(v, DenseVector) and v.coords.dtype == np.float64 for v in vectors):
+        return None
+    if len({v.dim for v in vectors}) != 1:
+        return None
+    return np.vstack([v.coords for v in vectors])
+
+
 def converge_tau_w(
     seq,
     limit,
@@ -265,7 +275,10 @@ def converge_tau_w(
     """Residuals | |<x_k,y>| - |<limit,y>| | over the witness vectors.
 
     The first witness (in list order) holding a persistent tail gap is
-    reported, so user-supplied witnesses should come first.
+    reported, so user-supplied witnesses should come first.  When the limit,
+    the points and the witnesses are real dense vectors of one dimension all
+    pairings come from one matrix product; otherwise each pair is one
+    inner_product.
     """
     if not witnesses:
         raise IncompatibleVector("witness list must be nonempty")
@@ -273,11 +286,18 @@ def converge_tau_w(
     points = _expand(seq, prefix)
     limit = as_rep(limit)
     witnesses = [as_rep(w) for w in witnesses]
-    traces = np.empty((len(witnesses), prefix))
-    for i, w in enumerate(witnesses):
-        target = abs(inner_product(limit, w))
-        for k, p in enumerate(points):
-            traces[i, k] = abs(abs(inner_product(p, w)) - target)
+    rows = _real_dense_rows([limit] + points + witnesses)
+    if rows is not None:
+        # one product; the limit rides in the same product as the points so
+        # that its overlaps round exactly like theirs
+        overlaps = np.abs(rows[prefix + 1:] @ rows[:prefix + 1].T)
+        traces = np.abs(overlaps[:, 1:] - overlaps[:, :1])
+    else:
+        traces = np.empty((len(witnesses), prefix))
+        for i, w in enumerate(witnesses):
+            target = abs(inner_product(limit, w))
+            for k, p in enumerate(points):
+                traces[i, k] = abs(abs(inner_product(p, w)) - target)
     verdict, witness, gap = ConvergenceVerdict.CONSISTENT, None, None
     for i, w in enumerate(witnesses):
         g = _persistent_gap(traces[i], tol)
@@ -390,16 +410,14 @@ def finite_dim_coincidence_suite(
     exemplars: List[dict] = []
 
     if cert.verdict == Verdict.PHASE_RETRIEVAL:
+        steps = np.arange(1, prefix + 1)[:, None]
         for t in range(trials):
             x = rng.standard_normal(n)
             x /= np.linalg.norm(x)
             d = rng.standard_normal(n)
             d *= 0.5 / np.linalg.norm(d)
-            points = []
-            for k in range(1, prefix + 1):
-                pat = analysis_magnitudes(frame, DenseVector(x + d / k))
-                realized = realize_from_magnitudes(frame, pat)
-                points.append(realized.rep)
+            patterns = np.abs((x + d / steps) @ frame.matrix.T)
+            points = [r.rep for r in realize_from_magnitudes(frame, patterns)]
             seq = ExplicitList(tuple(points))
             limit = DenseVector(x)
             rp = converge_tau_phi(frame, seq, limit, prefix, tol)

@@ -181,6 +181,36 @@ class TestPairwiseSumFrame:
         assert not f.check_exact(FiniteSupportVector([(6, 1.0)]))
         assert not f.check_exact(ReciprocalVector())
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            ReciprocalVector(),
+            DenseVector([1.0, -2.0, 0.5]),
+            DenseVector(np.arange(1.0, 12.0)),
+            DenseVector([1.0 + 2.0j, -0.5j]),
+            FiniteSupportVector([]),
+            FiniteSupportVector([(2, -1.5), (5, 2.0), (9, 0.25)]),
+            FiniteSupportVector([(3, 1j), (4, 2.0)]),
+            FiniteSupportVector([(9, 1j), (12, 2.0)]),
+        ],
+        ids=[
+            "reciprocal",
+            "dense_short",
+            "dense_long",
+            "dense_complex",
+            "empty_support",
+            "support_past_n",
+            "complex_support",
+            "complex_support_all_past_n",
+        ],
+    )
+    def test_entries_equal_entry_loop(self, x):
+        f = PairwiseSumFrame(7)
+        expected = np.array([x.entry(k) for k in range(1, 8)])
+        got = f.entries(x)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
     def test_entries_of_reciprocal(self):
         f = PairwiseSumFrame(3)
         assert f.entries(ReciprocalVector()).tolist() == [1.0, 0.5, 1.0 / 3.0]

@@ -1,5 +1,6 @@
 """Quotient metrics: values, axioms, the inequality chain, and realization."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from phaselens import (
     DenseVector,
     EnumerationCapExceeded,
+    ExplicitFrame,
     FieldError,
     IncompatibleVector,
     analysis_magnitudes,
@@ -208,6 +210,70 @@ class TestRealization:
             realize_from_magnitudes(c2_frame, np.ones(4))
         with pytest.raises(EnumerationCapExceeded):
             realize_from_magnitudes(r2_frame, np.ones(3), sign_cap=2)
+
+    @pytest.mark.parametrize(
+        "m, n, count",
+        [(3, 2, 301), (7, 4, 150), (8, 4, 75), (14, 5, 3)],
+        ids=["r2_full_spark", "one_partial_slice", "three_slices", "slice_per_target"],
+    )
+    def test_block_equals_per_row_calls(self, m, n, count):
+        # 7 rows: 64 patterns, 64 targets per slice, 150 = 2 * 64 + 22;
+        # 8 rows: 32 targets per slice; 14 rows: 8192 patterns, one per slice
+        rng = np.random.default_rng(m)
+        frame = random_real_frame(rng, m, n)
+        targets = np.abs(rng.standard_normal((count, n)) @ frame.matrix.T)
+        targets[1::5] = rng.uniform(0.0, 2.0, (targets[1::5].shape[0], m))
+        targets[::7] = 0.0
+        block = realize_from_magnitudes(frame, targets)
+        assert len(block) == count
+        assert any(r is None for r in block)
+        for row, got in zip(targets, block):
+            want = realize_from_magnitudes(frame, row)
+            if want is None:
+                assert got is None
+            else:
+                assert got.rep.coords.tobytes() == want.rep.coords.tobytes()
+        zero_rows = block[::7]
+        assert all(r is not None and r.norm() == 0.0 for r in zero_rows)
+
+    def test_first_pattern_in_counting_order_wins(self):
+        # {e1, e2, e3, e1+e2} leaves the sign of x3 free, so two signings of
+        # every pattern with x3 != 0 are realizable and the order decides
+        rng = np.random.default_rng(29)
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        frame = ExplicitFrame(rows * np.array([[1.0], [2.0], [0.5], [3.0]]))
+        a = frame.matrix / np.linalg.norm(frame.matrix, axis=1)[:, None]
+        targets = np.abs(rng.standard_normal((40, 3)) @ frame.matrix.T)
+        for target, got in zip(targets, realize_from_magnitudes(frame, targets)):
+            unit = target / np.linalg.norm(frame.matrix, axis=1)
+            for signs in itertools.product((1.0, -1.0), repeat=3):
+                signed = np.array((1.0,) + signs) * unit
+                y = np.linalg.lstsq(a, signed, rcond=None)[0]
+                if np.linalg.norm(a @ y - signed) <= 1e-8 * np.linalg.norm(unit):
+                    break
+            assert np.allclose(got.rep.coords, y, rtol=0.0, atol=1e-9)
+
+    def test_block_input_validation(self, r2_frame):
+        assert realize_from_magnitudes(r2_frame, np.zeros((0, 3))) == []
+        with pytest.raises(IncompatibleVector):
+            realize_from_magnitudes(r2_frame, np.ones((2, 2)))
+        with pytest.raises(IncompatibleVector):
+            realize_from_magnitudes(r2_frame, np.ones((2, 3, 1)))
+        with pytest.raises(IncompatibleVector):
+            realize_from_magnitudes(r2_frame, np.array([[1.0, 1.0, 2.0], [1.0, -1.0, 0.0]]))
+
+    def test_rescaled_rows_still_pin_the_class(self):
+        # rows scaled by 1e-12 .. 1: measured against |target| on raw rows,
+        # a tiny row's sign was free within tolerance and the wrong class won
+        rng = np.random.default_rng(0)
+        m, n = 7, 4
+        for _ in range(10):
+            exponents = rng.permutation(m) * 2.0 - 12.0
+            frame = ExplicitFrame(rng.standard_normal((m, n)) * 10.0 ** exponents[:, None])
+            x = random_unit(rng, n)
+            realized = realize_from_magnitudes(frame, analysis_magnitudes(frame, x))
+            assert realized is not None
+            assert bures_distance(realized, x) <= 1e-8
 
     def test_larger_real_frames(self):
         rng = np.random.default_rng(67)

@@ -7,6 +7,7 @@ from phaselens import (
     AlternatingSign,
     ConvergenceVerdict,
     DenseVector,
+    DimensionMismatch,
     ExplicitFrame,
     ExplicitList,
     FiniteSupportVector,
@@ -22,6 +23,7 @@ from phaselens import (
     converge_tau_w,
     default_tau_w_witnesses,
     finite_dim_coincidence_suite,
+    inner_product,
     separation_witness,
 )
 from conftest import random_real_frame
@@ -92,7 +94,64 @@ class TestInitialTopology:
             converge_tau_phi(r2_frame, seq, DenseVector([1.0, 1.0]), prefix=1)
 
 
+def _pairing_loop(points, limit, witnesses):
+    """| |<x_k, y>| - |<limit, y>| | by one inner_product per pair."""
+    traces = np.empty((len(witnesses), len(points)))
+    for i, w in enumerate(witnesses):
+        target = abs(inner_product(limit, w))
+        for k, p in enumerate(points):
+            traces[i, k] = abs(abs(inner_product(p, w)) - target)
+    return traces
+
+
 class TestWeakTopology:
+    # the dimensions of the suite's frames and of the R^2 examples
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dense_traces_equal_pairing_loop(self, n):
+        rng = np.random.default_rng(n)
+        points = tuple(DenseVector(rng.standard_normal(n)) for _ in range(30))
+        limit = DenseVector(rng.standard_normal(n))
+        witnesses = [limit, points[0]] + default_tau_w_witnesses(dim=n, seed=n, count_random=8)
+        rep = converge_tau_w(ExplicitList(points), limit, witnesses, prefix=30)
+        expected = _pairing_loop(points, limit, witnesses)
+        assert rep.residual_traces.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_dense_traces_in_higher_dimensions(self, n):
+        # one product may sum each pairing in another order than a dot
+        # product; a trace is a difference of two pairings, each within
+        # n * eps/2 * |w|_2 |x|_2 of exact (unit witnesses, |x|_2 <= sqrt(n) max|x_i|)
+        rng = np.random.default_rng(n)
+        points = tuple(DenseVector(rng.standard_normal(n)) for _ in range(30))
+        limit = DenseVector(rng.standard_normal(n))
+        witnesses = default_tau_w_witnesses(dim=n, seed=n, count_random=8)
+        rep = converge_tau_w(ExplicitList(points), limit, witnesses, prefix=30)
+        expected = _pairing_loop(points, limit, witnesses)
+        largest = max(np.max(np.abs(v.coords)) for v in (limit,) + points)
+        atol = 4 * n ** 1.5 * np.finfo(np.float64).eps * largest
+        assert np.allclose(rep.residual_traces, expected, rtol=0.0, atol=atol)
+
+    def test_complex_dense_traces_equal_pairing_loop(self):
+        rng = np.random.default_rng(5)
+        points = tuple(
+            DenseVector(rng.standard_normal(3) + 1j * rng.standard_normal(3)) for _ in range(20)
+        )
+        limit = DenseVector(rng.standard_normal(3) + 0j)
+        witnesses = [points[1]] + default_tau_w_witnesses(dim=3, count_random=4)
+        rep = converge_tau_w(ExplicitList(points), limit, witnesses, prefix=20)
+        expected = _pairing_loop(points, limit, witnesses)
+        assert rep.residual_traces.tobytes() == expected.tobytes()
+
+    def test_mixed_dimensions_raise(self):
+        seq = AlternatingSign(length=10)
+        with pytest.raises(DimensionMismatch):
+            converge_tau_w(seq, DenseVector([1.0, 1.0]), [DenseVector([1.0, 0.0, 0.0])], prefix=10)
+        with pytest.raises(DimensionMismatch):
+            converge_tau_w(seq, DenseVector([1.0, 1.0, 0.0]), default_tau_w_witnesses(dim=2), prefix=10)
+        mixed = ExplicitList((DenseVector([1.0, 0.0]), DenseVector([1.0, 0.0, 0.0])))
+        with pytest.raises(DimensionMismatch):
+            converge_tau_w(mixed, DenseVector([1.0, 0.0]), default_tau_w_witnesses(dim=2), prefix=2)
+
     def test_user_witness_takes_priority(self):
         seq = AlternatingSign(length=50)
         limit = DenseVector([1.0, 1.0])
@@ -198,6 +257,17 @@ class TestCoincidenceSuite:
         rep = finite_dim_coincidence_suite(frame, trials=2, seed=0)
         assert rep.pr_certified
         assert rep.mismatches == 0
+
+    def test_rescaled_rows_have_no_mismatches(self):
+        # R^4, m=7 Gaussian rows scaled by 1e-12 .. 1: every frame certifies,
+        # and a realizer that let a tiny row's sign float reported mismatches
+        rng = np.random.default_rng(0)
+        for _ in range(6):
+            exponents = rng.permutation(7) * 2.0 - 12.0
+            frame = ExplicitFrame(rng.standard_normal((7, 4)) * 10.0 ** exponents[:, None])
+            rep = finite_dim_coincidence_suite(frame, trials=1, prefix=50)
+            assert rep.pr_certified
+            assert rep.mismatches == 0
 
     def test_random_certified_r3_frame(self):
         rng = np.random.default_rng(71)
