@@ -102,25 +102,31 @@ def _emit(args, payload: dict, table_lines):
 
 def parse_seqspec(text: str):
     if not text.lstrip().startswith("{"):
-        text = open(text, "r", encoding="utf-8").read()
+        with open(text, "r", encoding="utf-8") as f:
+            text = f.read()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise FrameFormatError(f"invalid sequence spec: {e}") from e
+    if not isinstance(data, dict):
+        raise FrameFormatError("sequence spec must be a JSON object")
     kind = data.get("type")
-    if kind == "scaled_basis":
-        return ScaledBasis(length=int(data["length"]), power=float(data.get("power", 1.0)))
-    if kind == "alternating_sign":
-        return AlternatingSign(length=int(data["length"]))
-    if kind == "explicit":
-        return ExplicitList(tuple(vector_from_obj(p) for p in data["points"]))
-    if kind == "perturbed_limit":
-        return PerturbedLimit(
-            limit=vector_from_obj(data["limit"]),
-            direction=vector_from_obj(data["direction"]),
-            length=int(data["length"]),
-            rate=float(data.get("rate", 1.0)),
-        )
+    try:
+        if kind == "scaled_basis":
+            return ScaledBasis(length=int(data["length"]), power=float(data.get("power", 1.0)))
+        if kind == "alternating_sign":
+            return AlternatingSign(length=int(data["length"]))
+        if kind == "explicit":
+            return ExplicitList(tuple(vector_from_obj(p) for p in data["points"]))
+        if kind == "perturbed_limit":
+            return PerturbedLimit(
+                limit=vector_from_obj(data["limit"]),
+                direction=vector_from_obj(data["direction"]),
+                length=int(data["length"]),
+                rate=float(data.get("rate", 1.0)),
+            )
+    except (KeyError, TypeError, ValueError) as e:
+        raise FrameFormatError(f"malformed {kind} sequence spec: {e!r}") from e
     raise FrameFormatError(f"unknown sequence type {kind!r}")
 
 

@@ -11,6 +11,10 @@ REALIZE_RTOL = 1e-8
 # collision; well above least-squares noise at the residual threshold.
 COLLISION_CLASS_RTOL = 1e-6
 
+# Magnitude residual threshold (relative to the larger norm) above which a
+# functional separates two classes.
+SEPARATION_RTOL = 1e-9
+
 # Enumeration caps: complement-property subset pairs and sign patterns.
 DEFAULT_SUBSET_CAP = 24
 DEFAULT_SIGN_CAP = 20

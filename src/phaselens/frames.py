@@ -22,6 +22,7 @@ from .vectors import (
     ReciprocalVector,
     VectorRep,
     as_rep,
+    entries,
 )
 
 REAL = "real"
@@ -121,22 +122,7 @@ class PairwiseSumFrame:
 
     def entries(self, x) -> np.ndarray:
         """First-N sequence entries of x."""
-        x = as_rep(x)
-        n = self.truncation
-        if isinstance(x, ReciprocalVector):
-            return 1.0 / np.arange(1, n + 1)
-        if isinstance(x, DenseVector):
-            out = np.zeros(n, dtype=x.coords.dtype)
-            out[: min(n, x.dim)] = x.coords[:n]
-            return out
-        if isinstance(x, FiniteSupportVector):
-            inside = x.indices <= n
-            if not inside.any():  # only zeros, which are real
-                return np.zeros(n)
-            out = np.zeros(n, dtype=x.values.dtype)
-            out[x.indices[inside] - 1] = x.values[inside]
-            return out
-        raise IncompatibleVector(type(x).__name__)
+        return entries(as_rep(x), self.truncation)
 
     def __repr__(self):
         return f"PairwiseSumFrame(truncation={self.truncation})"

@@ -102,7 +102,8 @@ def load_frame(path: str, field: str | None = None) -> Frame:
     ``field`` overrides the file's field tag for CSV input (which is real by
     default).
     """
-    text = open(path, "r", encoding="utf-8").read()
+    with open(path, "r", encoding="utf-8") as f:
+        text = f.read()
     if path.endswith(".csv"):
         return frame_from_csv(text, field=field or REAL)
     try:
@@ -156,20 +157,25 @@ def vector_from_obj(data) -> VectorRep:
         if data.get("structured") == "reciprocal":
             return ReciprocalVector()
         if "support" in data:
-            return FiniteSupportVector(
-                [(int(i), _parse_entry(v)) for i, v in data["support"]]
-            )
+            try:
+                pairs = [(int(i), _parse_entry(v)) for i, v in data["support"]]
+            except (TypeError, ValueError) as e:
+                raise FrameFormatError(f"support must be [index, value] pairs: {e}") from e
+            return FiniteSupportVector(pairs)
         if "coords" in data:
             return DenseVector([_parse_entry(e) for e in data["coords"]])
     raise FrameFormatError(f"cannot parse vector from {data!r}")
 
 
 def _parse_entry(e):
-    if isinstance(e, (list, tuple)):
-        if len(e) != 2:
-            raise FrameFormatError(f"complex entry must be [re, im], got {e!r}")
-        return complex(float(e[0]), float(e[1]))
-    return float(e)
+    try:
+        if isinstance(e, (list, tuple)):
+            if len(e) != 2:
+                raise FrameFormatError(f"complex entry must be [re, im], got {e!r}")
+            return complex(float(e[0]), float(e[1]))
+        return float(e)
+    except (TypeError, ValueError) as err:
+        raise FrameFormatError(f"bad entry {e!r}: {err}") from err
 
 
 def parse_vector_arg(text: str) -> VectorRep:

@@ -32,14 +32,14 @@ from .frames import (
     analysis_magnitudes,
 )
 from .io import vector_to_json
-from .metrics import d_phi, realize_from_magnitudes
+from .metrics import realize_from_magnitudes
 from .vectors import (
     DenseVector,
     FiniteSupportVector,
     ReciprocalVector,
     VectorRep,
     as_rep,
-    inner_product,
+    pairings,
 )
 
 
@@ -165,21 +165,25 @@ def _tail(values: np.ndarray) -> np.ndarray:
     return values[..., (3 * k) // 4:]
 
 
-def _persistent_gap(row: np.ndarray, tol: float) -> Optional[float]:
-    """Gap held by every tail index, or None.
+def _first_gap(traces: np.ndarray, tol: float) -> Optional[Tuple[int, float]]:
+    """(row, gap) of the first row whose gap holds at every tail index, or None.
 
     A residual that merely spikes (tail minimum below tol) or decays (tail
     stuck far below the overall peak) is consistent with convergence over the
-    examined prefix.
+    examined prefix.  A NaN row counts as a gap.
     """
-    tail = _tail(row)
-    gap = float(np.min(tail))
-    if gap < tol:
-        return None
-    peak = float(np.max(row))
-    if gap < 0.5 * peak:
-        return None
-    return gap
+    gaps = np.min(_tail(traces), axis=1)
+    peaks = np.max(traces, axis=1)
+    hits = np.flatnonzero(~(gaps < tol) & ~(gaps < 0.5 * peaks))
+    return (int(hits[0]), float(gaps[hits[0]])) if hits.size else None
+
+
+def _magnitude_residuals(frame: Frame, points: Sequence[VectorRep], limit) -> np.ndarray:
+    """(m, P) residuals | |<x_k,phi_i>| - |<limit,phi_i>| |; the limit's
+    magnitudes are computed once."""
+    target = analysis_magnitudes(frame, limit)
+    magnitudes = np.column_stack([analysis_magnitudes(frame, p) for p in points])
+    return np.abs(magnitudes - target[:, None])
 
 
 def _expand(seq, prefix: int) -> List[VectorRep]:
@@ -202,17 +206,11 @@ def converge_tau_phi(
     """
     prefix = min(prefix, seq.length)
     points = _expand(seq, prefix)
-    limit = as_rep(limit)
-    target = analysis_magnitudes(frame, limit)
-    traces = np.empty((frame.m, prefix))
-    for k, p in enumerate(points):
-        traces[:, k] = np.abs(analysis_magnitudes(frame, p) - target)
+    traces = _magnitude_residuals(frame, points, as_rep(limit))
     verdict, witness, gap = ConvergenceVerdict.CONSISTENT, None, None
-    for i in range(frame.m):
-        g = _persistent_gap(traces[i], tol)
-        if g is not None:
-            verdict, witness, gap = ConvergenceVerdict.DIVERGENCE, i + 1, g
-            break
+    hit = _first_gap(traces, tol)
+    if hit is not None:
+        verdict, witness, gap = ConvergenceVerdict.DIVERGENCE, hit[0] + 1, hit[1]
     return ConvergenceReport(
         topology="tau_phi",
         verdict=verdict,
@@ -255,16 +253,6 @@ def default_tau_w_witnesses(
     return witnesses
 
 
-def _real_dense_rows(vectors: Sequence[VectorRep]) -> Optional[np.ndarray]:
-    """The vectors stacked as rows when all are real dense vectors of one
-    dimension, else None."""
-    if not all(isinstance(v, DenseVector) and v.coords.dtype == np.float64 for v in vectors):
-        return None
-    if len({v.dim for v in vectors}) != 1:
-        return None
-    return np.vstack([v.coords for v in vectors])
-
-
 def converge_tau_w(
     seq,
     limit,
@@ -275,10 +263,9 @@ def converge_tau_w(
     """Residuals | |<x_k,y>| - |<limit,y>| | over the witness vectors.
 
     The first witness (in list order) holding a persistent tail gap is
-    reported, so user-supplied witnesses should come first.  When the limit,
-    the points and the witnesses are real dense vectors of one dimension all
-    pairings come from one matrix product; otherwise each pair is one
-    inner_product.
+    reported, so user-supplied witnesses should come first.  All pairings
+    come from one ``pairings`` product, for every vector type; a pairing is
+    exact when the pair shares at most one nonzero index.
     """
     if not witnesses:
         raise IncompatibleVector("witness list must be nonempty")
@@ -286,24 +273,14 @@ def converge_tau_w(
     points = _expand(seq, prefix)
     limit = as_rep(limit)
     witnesses = [as_rep(w) for w in witnesses]
-    rows = _real_dense_rows([limit] + points + witnesses)
-    if rows is not None:
-        # one product; the limit rides in the same product as the points so
-        # that its overlaps round exactly like theirs
-        overlaps = np.abs(rows[prefix + 1:] @ rows[:prefix + 1].T)
-        traces = np.abs(overlaps[:, 1:] - overlaps[:, :1])
-    else:
-        traces = np.empty((len(witnesses), prefix))
-        for i, w in enumerate(witnesses):
-            target = abs(inner_product(limit, w))
-            for k, p in enumerate(points):
-                traces[i, k] = abs(abs(inner_product(p, w)) - target)
+    # the limit rides in the same product as the points so that its overlaps
+    # round exactly like theirs
+    overlaps = np.abs(pairings([limit] + points, witnesses)).T
+    traces = np.abs(overlaps[:, 1:] - overlaps[:, :1])
     verdict, witness, gap = ConvergenceVerdict.CONSISTENT, None, None
-    for i, w in enumerate(witnesses):
-        g = _persistent_gap(traces[i], tol)
-        if g is not None:
-            verdict, witness, gap = ConvergenceVerdict.DIVERGENCE, w, g
-            break
+    hit = _first_gap(traces, tol)
+    if hit is not None:
+        verdict, witness, gap = ConvergenceVerdict.DIVERGENCE, witnesses[hit[0]], hit[1]
     return ConvergenceReport(
         topology="tau_w",
         verdict=verdict,
@@ -328,17 +305,16 @@ def converge_d_phi(
     """
     prefix = min(prefix, seq.length)
     points = _expand(seq, prefix)
-    limit = as_rep(limit)
-    trace = np.array([d_phi(frame, p, limit) for p in points])
+    trace = np.max(_magnitude_residuals(frame, points, as_rep(limit)), axis=0)
     tail = _tail(trace)
     verdict, gap = ConvergenceVerdict.CONSISTENT, None
     if tail.size >= 2 and np.all(np.diff(tail) > 0) and float(tail[-1]) > 1e6 * tol:
         verdict = ConvergenceVerdict.UNBOUNDED
         gap = float(tail[-1])
     else:
-        g = _persistent_gap(trace, tol)
-        if g is not None:
-            verdict, gap = ConvergenceVerdict.DIVERGENCE, g
+        hit = _first_gap(trace[None, :], tol)
+        if hit is not None:
+            verdict, gap = ConvergenceVerdict.DIVERGENCE, hit[1]
     return ConvergenceReport(
         topology="d_phi",
         verdict=verdict,
@@ -350,7 +326,7 @@ def converge_d_phi(
     )
 
 
-def separation_witness(frame: Frame, x, y, rtol: float = 1e-9) -> Optional[int]:
+def separation_witness(frame: Frame, x, y) -> Optional[int]:
     """Smallest functional index whose magnitudes separate x^ from y^.
 
     None means the frame cannot tell the classes apart; for a certified
@@ -358,7 +334,7 @@ def separation_witness(frame: Frame, x, y, rtol: float = 1e-9) -> Optional[int]:
     """
     x, y = as_rep(x), as_rep(y)
     res = np.abs(analysis_magnitudes(frame, x) - analysis_magnitudes(frame, y))
-    threshold = rtol * max(x.norm(), y.norm())
+    threshold = config.SEPARATION_RTOL * max(x.norm(), y.norm())
     hits = np.flatnonzero(res > threshold)
     return int(hits[0]) + 1 if hits.size else None
 

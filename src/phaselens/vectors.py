@@ -9,8 +9,9 @@ Three representations are supported:
   square-summable with squared norm pi^2/6.
 
 Inner products are linear in the first argument and conjugate-linear in the
-second.  Structured pairings (finite support x reciprocal, etc.) are evaluated
-in closed form.
+second.  Every pairing runs over the first sequence entries of its inputs
+(``entries``); only reciprocal x reciprocal, with its infinite overlap, is
+taken in closed form.
 """
 
 from __future__ import annotations
@@ -146,45 +147,63 @@ def basis_vector(k: int, dim: int | None = None, scale=1.0) -> VectorRep:
     return DenseVector(out)
 
 
-def inner_product(x: VectorRep, y: VectorRep):
-    """<x, y>, conjugate-linear in the second argument.
-
-    Dense x dense requires matching dimensions.  Structured pairs are evaluated
-    exactly: reciprocal x reciprocal is the Basel sum pi^2/6.
-    """
-    if isinstance(x, DenseVector) and isinstance(y, DenseVector):
-        if x.dim != y.dim:
-            raise DimensionMismatch(f"dense dims differ: {x.dim} vs {y.dim}")
-        # np.vdot conjugates its first argument.
-        val = np.vdot(y.coords, x.coords)
-        return _simplify(val, x, y)
-    if isinstance(x, ReciprocalVector) and isinstance(y, ReciprocalVector):
-        return BASEL_SUM
-    # One side finitely supported (dense counts: zero tail in sequence space).
-    if isinstance(x, (DenseVector, FiniteSupportVector)):
-        val = sum(
-            v * np.conj(y.entry(int(k))) for k, v in _support_pairs(x)
-        )
-        return _simplify(val, x, y)
-    if isinstance(y, (DenseVector, FiniteSupportVector)):
-        return inner_product(y, x).conjugate()
-    raise IncompatibleVector(f"cannot pair {type(x).__name__} with {type(y).__name__}")
+def entries(x: VectorRep, n: int) -> np.ndarray:
+    """First n sequence entries of x; a dense vector of dim n gives its coords
+    without a copy."""
+    if isinstance(x, ReciprocalVector):
+        return 1.0 / np.arange(1, n + 1)
+    if isinstance(x, DenseVector):
+        if x.dim >= n:
+            return x.coords[:n]
+        out = np.zeros(n, dtype=x.coords.dtype)
+        out[: x.dim] = x.coords
+        return out
+    if isinstance(x, FiniteSupportVector):
+        inside = x.indices <= n
+        if not inside.any():  # only zeros, which are real
+            return np.zeros(n)
+        out = np.zeros(n, dtype=x.values.dtype)
+        out[x.indices[inside] - 1] = x.values[inside]
+        return out
+    raise IncompatibleVector(f"not a vector representation: {type(x).__name__}")
 
 
-def _support_pairs(v):
+def _extent(v) -> int:
+    """Index past which v is zero, or 0 when there is none (the reciprocal
+    vector; ``entries`` rejects unknown types)."""
     if isinstance(v, DenseVector):
-        return [(k + 1, v.coords[k]) for k in range(v.dim)]
-    return list(zip(v.indices.tolist(), v.values))
+        return v.dim
+    if isinstance(v, FiniteSupportVector):
+        return v.max_support
+    return 0
 
 
-def _simplify(val, x, y):
-    return complex(val) if _is_complex(x) or _is_complex(y) else complex(val).real
+def pairings(xs, ys) -> np.ndarray:
+    """The matrix of <x_i, y_j>, conjugate-linear in the second argument.
+
+    One product over the first N sequence entries, N the largest finite
+    extent among the inputs: past N one side of every pair is zero, except
+    for reciprocal x reciprocal, which is the Basel sum pi^2/6.  Dense x dense
+    pairs require matching dimensions.  A pair sharing at most one nonzero
+    index is exact; otherwise the product's summation order rounds.
+    """
+    xdims = {v.dim for v in xs if isinstance(v, DenseVector)}
+    ydims = {v.dim for v in ys if isinstance(v, DenseVector)}
+    if xdims and ydims and len(xdims | ydims) > 1:
+        raise DimensionMismatch(f"dense dims differ: {sorted(xdims | ydims)}")
+    n = max(_extent(v) for v in (*xs, *ys))
+    rows = np.array([entries(v, n) for v in xs])
+    cols = np.array([entries(v, n) for v in ys])
+    out = rows @ cols.conj().T
+    rx = [isinstance(v, ReciprocalVector) for v in xs]
+    ry = [isinstance(v, ReciprocalVector) for v in ys]
+    out[np.ix_(rx, ry)] = BASEL_SUM
+    return out
 
 
-def _is_complex(v) -> bool:
-    if isinstance(v, (DenseVector, FiniteSupportVector)):
-        return np.iscomplexobj(v.values if isinstance(v, FiniteSupportVector) else v.coords)
-    return False
+def inner_product(x: VectorRep, y: VectorRep):
+    """<x, y>, the one-pair case of ``pairings``."""
+    return pairings([x], [y])[0, 0].item()
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,13 @@ class TestDistCommand:
         doc = json.loads(out)
         assert doc["D"] == 0.0 and doc["d_phi"] == 0.0 and doc["frak_D"] == 0.0
 
+    def test_malformed_support_is_a_parse_error(self, capsys, data_dir):
+        code, _, err = run(
+            capsys, "dist", str(data_dir / "r2_fullspark.json"), '{"support": [[1]]}', "1,0"
+        )
+        assert code == EXIT_PARSE
+        assert "support" in err
+
     def test_dimension_mismatch_is_a_parse_error(self, capsys, data_dir):
         code, _, err = run(
             capsys, "dist", str(data_dir / "r2_fullspark.json"), "1,2,3", "1,2"
@@ -113,6 +120,20 @@ class TestConvergeCommand:
         )
         assert code == EXIT_PARSE
         assert "unknown sequence type" in err
+
+    @pytest.mark.parametrize(
+        "spec",
+        ['{"type": "scaled_basis"}', '{"type": "scaled_basis", "length": "ten"}', "[1, 2]"],
+        ids=["missing_length", "non_integer_length", "not_an_object"],
+    )
+    def test_malformed_sequence_spec_exits_64(self, capsys, data_dir, tmp_path, spec):
+        if not spec.startswith("{"):  # only specs starting with "{" are inline
+            path = tmp_path / "spec.json"
+            path.write_text(spec)
+            spec = str(path)
+        code, _, err = run(capsys, "converge", str(data_dir / "r2_fullspark.json"), spec, "0,0")
+        assert code == EXIT_PARSE
+        assert "sequence spec" in err
 
 
 class TestSuiteCommand:
@@ -154,6 +175,13 @@ class TestErrorsAndDeterminism:
         bad.write_text("{not json")
         code, _, _ = run(capsys, "certify", str(bad))
         assert code == EXIT_PARSE
+
+    def test_non_numeric_frame_entry_exits_64(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"field": "real", "dim": 2, "vectors": [[1, "a"], [0, 1]]}))
+        code, _, err = run(capsys, "certify", str(bad))
+        assert code == EXIT_PARSE
+        assert "'a'" in err
 
     def test_nonpositive_flag_rejected(self, capsys, data_dir):
         code, _, _ = run(

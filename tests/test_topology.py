@@ -17,15 +17,18 @@ from phaselens import (
     PerturbedLimit,
     ReciprocalVector,
     ScaledBasis,
+    basis_vector,
     bures_distance,
     converge_d_phi,
     converge_tau_phi,
     converge_tau_w,
+    d_phi,
     default_tau_w_witnesses,
     finite_dim_coincidence_suite,
     inner_product,
     separation_witness,
 )
+from phaselens.vectors import BASEL_SUM
 from conftest import random_real_frame
 
 
@@ -104,6 +107,25 @@ def _pairing_loop(points, limit, witnesses):
     return traces
 
 
+def _entry_pairing(x, y):
+    """<x, y> summed entry by entry over the finite side's extent."""
+    if isinstance(x, ReciprocalVector) and isinstance(y, ReciprocalVector):
+        return BASEL_SUM
+    finite = y if isinstance(x, ReciprocalVector) else x
+    extent = finite.dim if isinstance(finite, DenseVector) else finite.max_support
+    return sum(x.entry(k) * np.conj(y.entry(k)) for k in range(1, extent + 1))
+
+
+def _entry_loop(points, limit, witnesses):
+    """| |<x_k, y>| - |<limit, y>| | by one entry() sum per pair."""
+    traces = np.empty((len(witnesses), len(points)))
+    for i, w in enumerate(witnesses):
+        target = abs(_entry_pairing(limit, w))
+        for k, p in enumerate(points):
+            traces[i, k] = abs(abs(_entry_pairing(p, w)) - target)
+    return traces
+
+
 class TestWeakTopology:
     # the dimensions of the suite's frames and of the R^2 examples
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -131,7 +153,9 @@ class TestWeakTopology:
         atol = 4 * n ** 1.5 * np.finfo(np.float64).eps * largest
         assert np.allclose(rep.residual_traces, expected, rtol=0.0, atol=atol)
 
-    def test_complex_dense_traces_equal_pairing_loop(self):
+    def test_complex_dense_traces_within_forward_error(self):
+        # complex moduli of a whole array and of one scalar may round apart;
+        # each pairing is within a few n * eps * |x|_2 |w|_2 of exact
         rng = np.random.default_rng(5)
         points = tuple(
             DenseVector(rng.standard_normal(3) + 1j * rng.standard_normal(3)) for _ in range(20)
@@ -140,7 +164,9 @@ class TestWeakTopology:
         witnesses = [points[1]] + default_tau_w_witnesses(dim=3, count_random=4)
         rep = converge_tau_w(ExplicitList(points), limit, witnesses, prefix=20)
         expected = _pairing_loop(points, limit, witnesses)
-        assert rep.residual_traces.tobytes() == expected.tobytes()
+        largest = max(v.norm() for v in (limit,) + points) * max(w.norm() for w in witnesses)
+        atol = 4 * 3 * np.finfo(np.float64).eps * largest
+        assert np.allclose(rep.residual_traces, expected, rtol=0.0, atol=atol)
 
     def test_mixed_dimensions_raise(self):
         seq = AlternatingSign(length=10)
@@ -151,6 +177,12 @@ class TestWeakTopology:
         mixed = ExplicitList((DenseVector([1.0, 0.0]), DenseVector([1.0, 0.0, 0.0])))
         with pytest.raises(DimensionMismatch):
             converge_tau_w(mixed, DenseVector([1.0, 0.0]), default_tau_w_witnesses(dim=2), prefix=2)
+
+    def test_dense_points_against_longer_finite_supports(self):
+        seq = AlternatingSign(length=10)
+        witnesses = [FiniteSupportVector([(1, 1.0), (9, 2.0)]), FiniteSupportVector([(7, 1.0)])]
+        rep = converge_tau_w(seq, DenseVector([1.0, 1.0]), witnesses, prefix=10)
+        assert rep.residual_traces.tolist() == [[0.0] * 10, [0.0] * 10]
 
     def test_user_witness_takes_priority(self):
         seq = AlternatingSign(length=50)
@@ -174,6 +206,33 @@ class TestWeakTopology:
         assert isinstance(rep.witness, ReciprocalVector)
         assert rep.witness_gap == 1.0
 
+    def test_sequence_space_traces_equal_entry_loop(self):
+        # every pair shares at most one nonzero index, so each pairing is exact
+        seq = ScaledBasis(length=40, power=0.5)
+        witnesses = default_tau_w_witnesses(truncation=50, seed=3)
+        limit = FiniteSupportVector([])
+        rep = converge_tau_w(seq, limit, witnesses, prefix=40)
+        points = [seq.point(k) for k in range(1, 41)]
+        expected = _entry_loop(points, limit, witnesses)
+        assert rep.residual_traces.tobytes() == expected.tobytes()
+
+    def test_multi_overlap_traces_within_forward_error(self):
+        rng = np.random.default_rng(8)
+        points = (ReciprocalVector(),) + tuple(
+            FiniteSupportVector(list(zip(rng.choice(50, 4, replace=False) + 1, rng.standard_normal(4))))
+            for _ in range(19)
+        )
+        limit = DenseVector(rng.standard_normal(50))
+        witnesses = default_tau_w_witnesses(truncation=50, seed=4, count_random=8)
+        rep = converge_tau_w(ExplicitList(points), limit, witnesses, prefix=20)
+        expected = _entry_loop(points, limit, witnesses)
+        largest = max(v.norm() for v in (limit,) + points) * max(w.norm() for w in witnesses)
+        atol = 4 * 50 * np.finfo(np.float64).eps * largest
+        assert np.allclose(rep.residual_traces, expected, rtol=0.0, atol=atol)
+        # the reciprocal point pairs with the reciprocal witness to the Basel sum
+        basel = abs(BASEL_SUM - abs(_entry_pairing(limit, ReciprocalVector())))
+        assert rep.residual_traces[-1, 0] == pytest.approx(basel, rel=0.0, abs=atol)
+
     def test_default_witness_composition(self):
         fin = default_tau_w_witnesses(dim=3, count_random=4)
         assert len(fin) == 7 and not any(isinstance(w, ReciprocalVector) for w in fin)
@@ -195,6 +254,17 @@ class TestMetricConvergence:
         )
         assert rep.verdict == ConvergenceVerdict.DIVERGENCE
         assert np.all(rep.residual_traces[0] == 1.0)
+
+    @pytest.mark.parametrize("case", ["pairwise_sum", "r2"])
+    def test_trace_equals_per_point_d_phi(self, case, r2_frame):
+        if case == "pairwise_sum":
+            frame, seq, limit = PairwiseSumFrame(50), ScaledBasis(length=45, power=0.5), basis_vector(3)
+        else:
+            frame, limit = r2_frame, DenseVector([1.0, -1.0])
+            seq = PerturbedLimit(limit=limit, direction=DenseVector([0.3, 0.7]), length=60)
+        rep = converge_d_phi(frame, seq, limit, prefix=45)
+        expected = np.array([d_phi(frame, seq.point(k), limit) for k in range(1, 46)])
+        assert rep.residual_traces[0].tobytes() == expected.tobytes()
 
     def test_consistent_perturbed_sequence(self, r2_frame):
         seq = PerturbedLimit(

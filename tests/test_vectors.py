@@ -127,6 +127,13 @@ class TestInnerProduct:
             x = FiniteSupportVector([(k, float(k))])
             assert inner_product(x, ReciprocalVector()) == pytest.approx(1.0)
 
+    def test_unknown_type_rejected(self):
+        for other in (DenseVector([1.0]), ReciprocalVector()):
+            with pytest.raises(IncompatibleVector):
+                inner_product(object(), other)
+            with pytest.raises(IncompatibleVector):
+                inner_product(other, "1,0")
+
     def test_dense_against_reciprocal(self):
         x = DenseVector([2.0, 4.0])
         assert inner_product(x, ReciprocalVector()) == pytest.approx(2.0 + 2.0)
