@@ -182,8 +182,10 @@ def _magnitude_residuals(frame: Frame, points: Sequence[VectorRep], limit) -> np
     """(m, P) residuals | |<x_k,phi_i>| - |<limit,phi_i>| |; the limit's
     magnitudes are computed once."""
     target = analysis_magnitudes(frame, limit)
-    magnitudes = np.column_stack([analysis_magnitudes(frame, p) for p in points])
-    return np.abs(magnitudes - target[:, None])
+    residuals = np.empty((frame.m, len(points)))
+    for k, p in enumerate(points):
+        residuals[:, k] = np.abs(analysis_magnitudes(frame, p) - target)
+    return residuals
 
 
 def _expand(seq, prefix: int) -> List[VectorRep]:

@@ -9,9 +9,9 @@ Three representations are supported:
   square-summable with squared norm pi^2/6.
 
 Inner products are linear in the first argument and conjugate-linear in the
-second.  Every pairing runs over the first sequence entries of its inputs
-(``entries``); only reciprocal x reciprocal, with its infinite overlap, is
-taken in closed form.
+second.  Every pairing is one product over the indices at which its inputs
+can be nonzero (``pairings``); only reciprocal x reciprocal, with its
+infinite overlap, is taken in closed form.
 """
 
 from __future__ import annotations
@@ -107,9 +107,7 @@ class FiniteSupportVector:
             raise DimensionMismatch(
                 f"support index {self.max_support} exceeds ambient dimension {dim}"
             )
-        out = np.zeros(dim, dtype=self.values.dtype if self.values.size else np.float64)
-        out[self.indices - 1] = self.values
-        return DenseVector(out)
+        return DenseVector(entries(self, dim))
 
     def __repr__(self):
         pairs = list(zip(self.indices.tolist(), self.values.tolist()))
@@ -148,53 +146,58 @@ def basis_vector(k: int, dim: int | None = None, scale=1.0) -> VectorRep:
 
 
 def entries(x: VectorRep, n: int) -> np.ndarray:
-    """First n sequence entries of x; a dense vector of dim n gives its coords
-    without a copy."""
-    if isinstance(x, ReciprocalVector):
-        return 1.0 / np.arange(1, n + 1)
-    if isinstance(x, DenseVector):
-        if x.dim >= n:
-            return x.coords[:n]
-        out = np.zeros(n, dtype=x.coords.dtype)
-        out[: x.dim] = x.coords
-        return out
-    if isinstance(x, FiniteSupportVector):
-        inside = x.indices <= n
-        if not inside.any():  # only zeros, which are real
-            return np.zeros(n)
-        out = np.zeros(n, dtype=x.values.dtype)
-        out[x.indices[inside] - 1] = x.values[inside]
-        return out
-    raise IncompatibleVector(f"not a vector representation: {type(x).__name__}")
+    """First n sequence entries of x; a dense vector of dim >= n gives a view
+    of its coords, no copy."""
+    if isinstance(x, DenseVector) and x.dim >= n:
+        return x.coords[:n]
+    return _rows([x], np.arange(1, n + 1))[0]
 
 
-def _extent(v) -> int:
-    """Index past which v is zero, or 0 when there is none (the reciprocal
-    vector; ``entries`` rejects unknown types)."""
-    if isinstance(v, DenseVector):
-        return v.dim
-    if isinstance(v, FiniteSupportVector):
-        return v.max_support
-    return 0
+_BLOCK_ENTRIES = 1 << 20  # per row block of a ``pairings`` product: 8 MB real
+
+
+def _rows(vs, cols: np.ndarray) -> np.ndarray:
+    """Entries of each v at the sorted 1-based indices cols, which must hold
+    every index up to cols[-1] at which some v can be nonzero; later entries
+    are dropped.  Real unless a complex entry lands."""
+    out = np.zeros((len(vs), cols.size))
+    for i, v in enumerate(vs):
+        if isinstance(v, DenseVector):  # positions 0..k-1 hold indices 1..k
+            at, vals = slice(0, v.dim), v.coords[: cols.size]
+        elif isinstance(v, FiniteSupportVector):
+            at = np.searchsorted(cols, v.indices)
+            kept = at < cols.size
+            at, vals = at[kept], v.values[kept]
+        elif isinstance(v, ReciprocalVector):
+            at, vals = slice(None), 1.0 / cols
+        else:
+            raise IncompatibleVector(f"not a vector representation: {type(v).__name__}")
+        if not vals.size:
+            continue
+        if np.iscomplexobj(vals) and not np.iscomplexobj(out):
+            out = out.astype(np.complex128)
+        out[i, at] = vals
+    return out
 
 
 def pairings(xs, ys) -> np.ndarray:
     """The matrix of <x_i, y_j>, conjugate-linear in the second argument.
 
-    One product over the first N sequence entries, N the largest finite
-    extent among the inputs: past N one side of every pair is zero, except
-    for reciprocal x reciprocal, which is the Basel sum pi^2/6.  Dense x dense
-    pairs require matching dimensions.  A pair sharing at most one nonzero
-    index is exact; otherwise the product's summation order rounds.
+    One product, in row blocks, over the indices where an input other than
+    the reciprocal vector can be nonzero (1..largest dense dim, every
+    finite-support index), so memory follows the supports.  Reciprocal x
+    reciprocal is pi^2/6; dense x dense needs one dim.  A pair sharing at most
+    one nonzero index is exact; otherwise the summation order rounds.
     """
     xdims = {v.dim for v in xs if isinstance(v, DenseVector)}
     ydims = {v.dim for v in ys if isinstance(v, DenseVector)}
     if xdims and ydims and len(xdims | ydims) > 1:
         raise DimensionMismatch(f"dense dims differ: {sorted(xdims | ydims)}")
-    n = max(_extent(v) for v in (*xs, *ys))
-    rows = np.array([entries(v, n) for v in xs])
-    cols = np.array([entries(v, n) for v in ys])
-    out = rows @ cols.conj().T
+    support = [v.indices for v in (*xs, *ys) if isinstance(v, FiniteSupportVector)]
+    cols = np.unique(np.concatenate([np.arange(1, max(xdims | ydims, default=0) + 1), *support]))
+    right = _rows(ys, cols).conj().T
+    step = max(1, _BLOCK_ENTRIES // max(cols.size, 1))
+    out = np.concatenate([_rows(xs[s : s + step], cols) @ right for s in range(0, len(xs), step)])
     rx = [isinstance(v, ReciprocalVector) for v in xs]
     ry = [isinstance(v, ReciprocalVector) for v in ys]
     out[np.ix_(rx, ry)] = BASEL_SUM

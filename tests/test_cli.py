@@ -110,6 +110,25 @@ class TestConvergeCommand:
         assert doc["tau_w"]["witness"] == {"structured": "reciprocal"}
         assert doc["d_phi"]["verdict"] == "unbounded"
 
+    def test_witness_at_a_far_index(self, capsys, data_dir):
+        # the witness pairs over its one support index, not the first 10^9
+        code, out, _ = run(
+            capsys,
+            "--format",
+            "json",
+            "--prefix",
+            "45",
+            "converge",
+            str(data_dir / "pairwise_sum_50.json"),
+            json.dumps({"type": "scaled_basis", "length": 45}),
+            '{"support": []}',
+            "--witness",
+            '{"support": [[1000000000, 1]]}',
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["tau_w"]["witness"] == {"structured": "reciprocal"}
+
     def test_bad_sequence_spec_exits_64(self, capsys, data_dir):
         code, _, err = run(
             capsys,

@@ -13,10 +13,12 @@ from phaselens import (
     QuotientPoint,
     ReciprocalVector,
     basis_vector,
+    bures_distance,
     inner_product,
     zero_vector,
 )
-from phaselens.vectors import BASEL_SUM, as_rep
+from phaselens import vectors
+from phaselens.vectors import BASEL_SUM, as_rep, pairings
 
 
 class TestDenseVector:
@@ -138,6 +140,57 @@ class TestInnerProduct:
         x = DenseVector([2.0, 4.0])
         assert inner_product(x, ReciprocalVector()) == pytest.approx(2.0 + 2.0)
         assert inner_product(ReciprocalVector(), x) == pytest.approx(4.0)
+
+    def test_far_index_costs_its_support_not_its_index(self):
+        # a product over the first 10^9 entries would need 8 GB per vector
+        far = basis_vector(10**9)
+        assert inner_product(far, ReciprocalVector()) == 1e-9
+        assert inner_product(ReciprocalVector(), far) == 1e-9
+        assert inner_product(far, far) == 1.0
+        assert inner_product(far, DenseVector([1.0, 2.0])) == 0.0
+        assert bures_distance(far, basis_vector(10**9, scale=2.0)) == 1.0
+
+
+class TestPairings:
+    # supports with gaps and one far index, so the product skips most columns
+    INDICES = [k * k for k in range(1, 13)] + [10**6]
+
+    def _inputs(self, rng):
+        xs = [ReciprocalVector(), FiniteSupportVector([])] + [
+            FiniteSupportVector([(k, rng.standard_normal())]) for k in self.INDICES
+        ]
+        ys = [
+            ReciprocalVector(),
+            basis_vector(2),
+            FiniteSupportVector([(7, 1.5 - 2j)]),
+            FiniteSupportVector(list(zip((3, 16, 81, 10**6), rng.standard_normal(4)))),
+            DenseVector(rng.standard_normal(5)),
+        ]
+        return xs, ys
+
+    @pytest.mark.parametrize("block", [1, 50])
+    def test_row_blocks_equal_one_product(self, monkeypatch, block):
+        xs, ys = self._inputs(np.random.default_rng(5))
+        whole = pairings(xs, ys)
+        monkeypatch.setattr(vectors, "_BLOCK_ENTRIES", block)
+        blocked = pairings(xs, ys)
+        assert blocked.dtype == whole.dtype == np.complex128
+        # every finite-support row meets each column at most once, so both
+        # are exact; the reciprocal row sums several terms and may round
+        assert blocked[1:].tobytes() == whole[1:].tobytes()
+        assert np.allclose(blocked[0], whole[0], rtol=1e-15, atol=0.0)
+
+    def test_equals_entry_sums(self):
+        xs, ys = self._inputs(np.random.default_rng(6))
+        got = pairings(xs, ys)
+        nonzero = sorted(set(range(1, 8)) | set(self.INDICES))
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                if isinstance(x, ReciprocalVector) and isinstance(y, ReciprocalVector):
+                    assert got[i, j] == BASEL_SUM
+                    continue
+                expected = sum(x.entry(k) * np.conj(y.entry(k)) for k in nonzero)
+                assert got[i, j] == pytest.approx(expected, rel=1e-15, abs=1e-300)
 
 
 class TestHelpers:
