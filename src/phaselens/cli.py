@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     EnumerationCapExceeded,
     FrameFormatError,
+    IncompatibleVector,
     PhaseLensError,
     UnknownScenarioError,
 )
@@ -56,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.add_argument("--field", choices=("real", "complex"), default=None)
     p.add_argument("--tol", type=float, default=config.DEFAULT_TOL)
-    p.add_argument("--grid", type=int, default=config.DEFAULT_GRID_SIZE)
     p.add_argument("--prefix", type=int, default=config.DEFAULT_PREFIX)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap-subsets", type=int, default=config.DEFAULT_SUBSET_CAP)
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args):
-    for name in ("tol", "grid", "prefix", "cap_subsets", "cap_signs"):
+    for name in ("tol", "prefix", "cap_subsets", "cap_signs"):
         if getattr(args, name) <= 0:
             raise FrameFormatError(f"--{name.replace('_', '-')} must be positive")
 
@@ -125,7 +125,7 @@ def parse_seqspec(text: str):
                 length=int(data["length"]),
                 rate=float(data.get("rate", 1.0)),
             )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, IncompatibleVector) as e:
         raise FrameFormatError(f"malformed {kind} sequence spec: {e!r}") from e
     raise FrameFormatError(f"unknown sequence type {kind!r}")
 
@@ -176,7 +176,7 @@ def cmd_dist(args) -> int:
         raise FrameFormatError("the metric report requires an explicit frame")
     x = parse_vector_arg(args.x)
     y = parse_vector_arg(args.y)
-    report = inequality_report(frame, x, y, grid_size=args.grid)
+    report = inequality_report(frame, x, y)
     doc = report.to_dict()
     width = max(len(k) for k in doc["inequality_slacks"])
     lines = [

@@ -19,10 +19,6 @@ SEPARATION_RTOL = 1e-9
 DEFAULT_SUBSET_CAP = 24
 DEFAULT_SIGN_CAP = 20
 
-# Phase-circle minimization defaults.
-DEFAULT_GRID_SIZE = 4096
-DEFAULT_THETA_WIDTH = 1e-10
-
 # Convergence diagnostics defaults.
 DEFAULT_TOL = 1e-6
 DEFAULT_PREFIX = 200

@@ -24,7 +24,7 @@ import json
 
 import numpy as np
 
-from .errors import FrameFormatError
+from .errors import FrameFormatError, IncompatibleVector
 from .frames import COMPLEX, REAL, ExplicitFrame, Frame, PairwiseSumFrame
 from .vectors import (
     DenseVector,
@@ -150,20 +150,25 @@ def vector_to_json(x: VectorRep) -> dict:
 
 
 def vector_from_obj(data) -> VectorRep:
-    """Parse a vector from its JSON form (object or bare coordinate list)."""
-    if isinstance(data, list):
-        return DenseVector([_parse_entry(e) for e in data])
-    if isinstance(data, dict):
-        if data.get("structured") == "reciprocal":
-            return ReciprocalVector()
-        if "support" in data:
-            try:
-                pairs = [(int(i), _parse_entry(v)) for i, v in data["support"]]
-            except (TypeError, ValueError) as e:
-                raise FrameFormatError(f"support must be [index, value] pairs: {e}") from e
-            return FiniteSupportVector(pairs)
-        if "coords" in data:
-            return DenseVector([_parse_entry(e) for e in data["coords"]])
+    """Parse a vector from its JSON form (object or bare coordinate list); a
+    vector its constructor rejects (empty, a 0-based or repeated index) is a
+    parse error too."""
+    try:
+        if isinstance(data, list):
+            return DenseVector([_parse_entry(e) for e in data])
+        if isinstance(data, dict):
+            if data.get("structured") == "reciprocal":
+                return ReciprocalVector()
+            if "support" in data:
+                try:
+                    pairs = [(int(i), _parse_entry(v)) for i, v in data["support"]]
+                except (TypeError, ValueError) as e:
+                    raise FrameFormatError(f"support must be [index, value] pairs: {e}") from e
+                return FiniteSupportVector(pairs)
+            if "coords" in data:
+                return DenseVector([_parse_entry(e) for e in data["coords"]])
+    except IncompatibleVector as e:
+        raise FrameFormatError(f"invalid vector: {e}") from e
     raise FrameFormatError(f"cannot parse vector from {data!r}")
 
 

@@ -1,6 +1,7 @@
-"""Quotient-space metrics: Bures-Wasserstein D, the sup-min metric d_Phi, and
-the minimax variant (min over the phase circle first, then sup over the
-frame), plus the inequality report tying them together and the sign-pattern
+"""Quotient-space metrics: Bures-Wasserstein D, the sup-min metric d_Phi
+(sup over the frame of the per-index phase minimum), and the minimax variant
+(one phase for the whole frame: min over the phase of the sup over the frame),
+plus the inequality report tying them together and the sign-pattern
 realizer that inverts magnitude patterns for real frames.
 """
 
@@ -28,9 +29,6 @@ from .frames import (
     frame_bounds,
 )
 from .vectors import DenseVector, QuotientPoint, as_rep, inner_product
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def _bures(norm_x: float, norm_y: float, overlap: float) -> float:
     """sqrt(|x|^2 + |y|^2 - 2|<x,y>|) from |x|, |y| and |<x,y>|; radicands within
@@ -76,7 +74,7 @@ def d_phi_definitional(
     frame: Frame,
     x,
     y,
-    grid_size: int = 64,
+    points: int = 64,
     return_grid_deviation: bool = False,
 ):
     """Direct evaluation of sup_j min_theta |<x - e^{i theta} y, phi_j>|.
@@ -85,8 +83,8 @@ def d_phi_definitional(
     complex case, min(|a-b|, |a+b|) for the two real phases) and cross-checked
     on a theta grid; serves as the independent oracle for ``d_phi``.
     """
-    if grid_size < 2:
-        raise IncompatibleVector("grid size must be >= 2")
+    if points < 2:
+        raise IncompatibleVector("the theta grid needs >= 2 points")
     a = coefficients(frame, x)
     b = coefficients(frame, y)
     real_case = not (np.iscomplexobj(a) or np.iscomplexobj(b))
@@ -95,7 +93,7 @@ def d_phi_definitional(
         thetas = np.array([0.0, math.pi])
     else:
         per_index = np.abs(np.abs(a) - np.abs(b))
-        thetas = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
+        thetas = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
     phases = np.exp(1j * thetas) if not real_case else np.array([1.0, -1.0])
     grid_min = np.min(np.abs(a[:, None] - phases[None, :] * b[:, None]), axis=1)
     value = float(np.max(per_index))
@@ -107,27 +105,44 @@ def d_phi_definitional(
 
 @dataclass(frozen=True)
 class FrakResult:
-    """Minimax distance value, the phase attaining it (within tolerance), and
-    the Lipschitz error bound of the grid/golden-section minimization."""
+    """Minimax distance value and the phase attaining it."""
 
     value: float
     theta_star: float
-    error_bound: float
 
 
-def frak_distance(
-    frame: ExplicitFrame,
-    x,
-    y,
-    grid_size: int = config.DEFAULT_GRID_SIZE,
-) -> FrakResult:
-    """min_theta sup_j |<x - e^{i theta} y, phi_j>| over a finite frame.
+def _envelope_minima(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A finite set of phases, reduced mod 2 pi, that contains a minimizer of
+    theta -> max_j |a_j - e^{i theta} b_j|.
 
-    Real field: the phase set is exactly {0, pi}.  Complex field: a uniform
-    theta grid is refined by golden-section search around the best bracket;
-    |g(t) - g(t')| <= |y| max_j|phi_j| |t - t'| bounds the residual error.
-    The computation is symmetrized (argument order canonicalized) so that
-    swapping x and y returns bit-identical values.
+    |a_j - e^{i theta} b_j|^2 = s_j - 2 Re(z_j e^{i theta}) with
+    s_j = |a_j|^2 + |b_j|^2 and z_j = conj(a_j) b_j, so the squared sup is the
+    upper envelope of m sinusoids.  Its minimum lies at the minimum of one of
+    them (theta = -arg z_j), where two of them cross
+    (2 Re(w e^{i theta}) = s_j - s_k with w = z_j - z_k), or anywhere when the
+    envelope is constant (theta = 0).
+    """
+    s = np.abs(a) ** 2 + np.abs(b) ** 2
+    z = np.conj(a) * b
+    j, k = np.triu_indices(z.size, 1)
+    w = z[j] - z[k]
+    # w = 0 (0/0, x/0) or subnormal (overflow): no crossing; a nan is dropped
+    # below, and +-inf clipped to +-1 is only one more candidate
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        turn = np.arccos(np.clip((s[j] - s[k]) / (2.0 * np.abs(w)), -1.0, 1.0))
+    thetas = np.concatenate(([0.0], -np.angle(z), turn - np.angle(w), -turn - np.angle(w)))
+    return np.mod(thetas[np.isfinite(thetas)], 2.0 * math.pi)
+
+
+def frak_distance(frame: ExplicitFrame, x, y) -> FrakResult:
+    """min_theta sup_j |<x - e^{i theta} y, phi_j>| over a finite frame: one
+    phase for every j, unlike d_Phi, which minimizes per index.
+
+    The minimum is exact: it is taken over a finite set of phases that
+    contains a minimizer, {0, pi} on the real field and the candidates of
+    ``_envelope_minima`` on the complex one.  The computation is symmetrized
+    (argument order canonicalized) so that swapping x and y returns
+    bit-identical values.
     """
     if isinstance(frame, PairwiseSumFrame):
         raise IncompatibleVector("minimax distance over an infinite frame is not supported")
@@ -137,64 +152,21 @@ def frak_distance(
     if np.asarray(b).tobytes() < np.asarray(a).tobytes():
         a, b = b, a
         swapped = True
-    # the Lipschitz constant uses the norm of the vector carrying the phase
-    y_norm = as_rep(x).norm() if swapped else as_rep(y).norm()
-    lipschitz = y_norm * float(np.max(np.linalg.norm(frame.matrix, axis=1)))
-
     if frame.field == REAL and not (np.iscomplexobj(a) or np.iscomplexobj(b)):
-        g0 = float(np.max(np.abs(a - b)))
-        g1 = float(np.max(np.abs(a + b)))
-        if g1 < g0:
-            value, theta = g1, math.pi
-        else:
-            value, theta = g0, 0.0
-        if swapped and theta != 0.0:
-            theta = (2.0 * math.pi - theta) % (2.0 * math.pi)
-        return FrakResult(value=value, theta_star=theta, error_bound=0.0)
-
-    if grid_size < 4:
-        raise IncompatibleVector("grid size must be >= 4")
-
-    def g(theta: float) -> float:
-        return float(np.max(np.abs(a - np.exp(1j * theta) * b)))
-
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    phases = np.exp(1j * thetas)
-    # sup over the frame one row at a time: no (m, grid) temporary
+        thetas = np.array([0.0, math.pi])
+        phases = np.array([1.0, -1.0])
+    else:
+        thetas = _envelope_minima(a, b)
+        phases = np.exp(1j * thetas)
+    # sup over the frame one row at a time: no (m, candidates) temporary
     values = np.abs(a[0] - phases * b[0])
     for a_j, b_j in zip(a[1:], b[1:]):
         np.maximum(values, np.abs(a_j - phases * b_j), out=values)
-    k0 = int(np.argmin(values))
-    best_val = float(values[k0])
-    best_theta = float(thetas[k0])
-    h = 2.0 * math.pi / grid_size
-    lo, hi = thetas[k0] - h, thetas[k0] + h
-
-    # golden-section refinement; keep the best sample seen so the returned
-    # value never exceeds any evaluated g
-    p = hi - GOLDEN * (hi - lo)
-    q = lo + GOLDEN * (hi - lo)
-    gp, gq = g(p), g(q)
-    while hi - lo > config.DEFAULT_THETA_WIDTH:
-        if gp <= gq:
-            hi, q, gq = q, p, gp
-            p = hi - GOLDEN * (hi - lo)
-            gp = g(p)
-        else:
-            lo, p, gp = p, q, gq
-            q = lo + GOLDEN * (hi - lo)
-            gq = g(q)
-        cand, cand_t = (gp, p) if gp <= gq else (gq, q)
-        if cand < best_val:
-            best_val, best_theta = cand, cand_t
-    theta = best_theta % (2.0 * math.pi)
+    k = int(np.argmin(values))
+    theta = float(thetas[k])
     if swapped:
         theta = (2.0 * math.pi - theta) % (2.0 * math.pi)
-    return FrakResult(
-        value=best_val,
-        theta_star=theta,
-        error_bound=lipschitz * config.DEFAULT_THETA_WIDTH,
-    )
+    return FrakResult(value=float(values[k]), theta_star=theta)
 
 
 @dataclass(frozen=True)
@@ -211,7 +183,6 @@ class MetricReport:
     bounds_used: FrameBounds
     m: int
     inequality_slacks: dict = field(default_factory=dict)
-    parameters: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -224,16 +195,10 @@ class MetricReport:
             "frame_bounds": {"lower": self.bounds_used.lower, "upper": self.bounds_used.upper},
             "m": self.m,
             "inequality_slacks": dict(self.inequality_slacks),
-            "parameters": dict(self.parameters),
         }
 
 
-def inequality_report(
-    frame: ExplicitFrame,
-    x,
-    y,
-    grid_size: int = config.DEFAULT_GRID_SIZE,
-) -> MetricReport:
+def inequality_report(frame: ExplicitFrame, x, y) -> MetricReport:
     """Compute D, d_Phi, the minimax distance and the slack of each inequality
     in the chain:
 
@@ -243,7 +208,7 @@ def inequality_report(
     bounds = frame_bounds(frame)  # raises NotAFrameError when not spanning
     d_val = bures_distance(x, y)
     dphi_val = d_phi(frame, x, y)
-    frak = frak_distance(frame, x, y, grid_size=grid_size)
+    frak = frak_distance(frame, x, y)
     alpha_diff = float(
         np.linalg.norm(analysis_magnitudes(frame, x) - analysis_magnitudes(frame, y))
     )
@@ -264,7 +229,6 @@ def inequality_report(
         bounds_used=bounds,
         m=m,
         inequality_slacks=slacks,
-        parameters={"grid_size": grid_size, "theta_width": config.DEFAULT_THETA_WIDTH},
     )
 
 

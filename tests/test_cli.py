@@ -81,6 +81,14 @@ class TestDistCommand:
         assert code == EXIT_PARSE
         assert "support" in err
 
+    @pytest.mark.parametrize(
+        "vector", ['{"support": [[0, 1]]}', "[]"], ids=["zero_based_index", "empty"]
+    )
+    def test_out_of_range_vector_is_a_parse_error(self, capsys, data_dir, vector):
+        code, _, err = run(capsys, "dist", str(data_dir / "r2_fullspark.json"), vector, "1,0")
+        assert code == EXIT_PARSE
+        assert "invalid vector" in err
+
     def test_dimension_mismatch_is_a_parse_error(self, capsys, data_dir):
         code, _, err = run(
             capsys, "dist", str(data_dir / "r2_fullspark.json"), "1,2,3", "1,2"
@@ -142,8 +150,14 @@ class TestConvergeCommand:
 
     @pytest.mark.parametrize(
         "spec",
-        ['{"type": "scaled_basis"}', '{"type": "scaled_basis", "length": "ten"}', "[1, 2]"],
-        ids=["missing_length", "non_integer_length", "not_an_object"],
+        [
+            '{"type": "scaled_basis"}',
+            '{"type": "scaled_basis", "length": "ten"}',
+            "[1, 2]",
+            '{"type": "scaled_basis", "length": 1}',
+            '{"type": "explicit", "points": [[1, 0]]}',
+        ],
+        ids=["missing_length", "non_integer_length", "not_an_object", "one_point_range", "one_explicit_point"],
     )
     def test_malformed_sequence_spec_exits_64(self, capsys, data_dir, tmp_path, spec):
         if not spec.startswith("{"):  # only specs starting with "{" are inline

@@ -68,7 +68,7 @@ class TestDPhi:
 
     def test_rejects_tiny_grid(self, r2_frame):
         with pytest.raises(IncompatibleVector):
-            d_phi_definitional(r2_frame, DenseVector([1.0, 0.0]), DenseVector([0.0, 1.0]), grid_size=1)
+            d_phi_definitional(r2_frame, DenseVector([1.0, 0.0]), DenseVector([0.0, 1.0]), points=1)
 
 
 class TestFrakDistance:
@@ -79,7 +79,6 @@ class TestFrakDistance:
         g0 = np.max(np.abs((r2_frame.matrix @ x.coords) - (r2_frame.matrix @ y.coords)))
         g1 = np.max(np.abs((r2_frame.matrix @ x.coords) + (r2_frame.matrix @ y.coords)))
         assert res.value == min(g0, g1)
-        assert res.error_bound == 0.0
 
     def test_complex_fixture_value(self, c2_frame):
         res = frak_distance(c2_frame, DenseVector([3.0 + 0j, 0j]), DenseVector([0j, 4.0 + 0j]))
@@ -107,13 +106,15 @@ class TestFrakDistance:
         )
         assert attained == pytest.approx(res.value, abs=1e-8)
 
-    def test_grid_refinement_consistency(self, c2_frame):
-        rng = np.random.default_rng(37)
-        x = random_unit(rng, 2, True)
-        y = random_unit(rng, 2, True)
-        coarse = frak_distance(c2_frame, x, y, grid_size=512).value
-        fine = frak_distance(c2_frame, x, y, grid_size=8192).value
-        assert abs(coarse - fine) <= 1e-6
+    def test_class_equal_complex_pair_is_zero(self):
+        rng = np.random.default_rng(53)
+        frame = ExplicitFrame(
+            [DenseVector(row) for row in rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))]
+        )
+        x = random_unit(rng, 4, True)
+        y = DenseVector(np.exp(0.7j) * x.coords)
+        res = frak_distance(frame, x, y)
+        assert res.value <= 1e-12 * x.norm()
 
 
 class TestMetricAxioms:

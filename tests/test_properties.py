@@ -3,7 +3,9 @@
 Frames are {-1, 0, 1} integer matrices with n = 2..4 and m = n..2n+1 that
 span, so repeated, parallel and zero vectors all occur.  Two routes must
 agree (subset enumeration and the constructive falsifier), and the verdict
-must not move under transforms that preserve phase retrieval.
+must not move under transforms that preserve phase retrieval.  The exact
+minimax distance is checked against a dense phase grid on small complex
+frames whose entries mix Gaussian integers and floats.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from phaselens import (
     certify_phase_retrieval,
     complement_property,
     falsify_by_sign_enumeration,
+    frak_distance,
 )
 
 
@@ -56,3 +59,35 @@ def test_verdict_invariant_under_pr_preserving_transforms(matrix, data):
     duplicated = np.vstack([matrix, matrix[row]])
     for variant in (matrix[list(order)], rescaled, duplicated):
         assert certify_phase_retrieval(as_frame(variant)).verdict == verdict
+
+
+_parts = st.one_of(st.sampled_from((-1.0, 0.0, 0.5, 1.0)), st.floats(-2.0, 2.0))
+_complex_entries = st.builds(complex, _parts, _parts)
+
+
+@st.composite
+def complex_frames_and_pairs(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6))
+    rows = st.lists(_complex_entries, min_size=n, max_size=n)
+    matrix = np.array(draw(st.lists(rows, min_size=m, max_size=m)), dtype=complex)
+    x, y = (np.array(draw(rows), dtype=complex) for _ in range(2))
+    return matrix, x, y
+
+
+def _sup_over_frame(a, b, thetas):
+    return np.max(np.abs(a[:, None] - np.exp(1j * np.asarray(thetas))[None, :] * b[:, None]), axis=0)
+
+
+@given(complex_frames_and_pairs())
+def test_minimax_distance_is_the_exact_minimum(data):
+    matrix, x, y = data
+    frame = ExplicitFrame([DenseVector(row) for row in matrix], field="complex")
+    res = frak_distance(frame, DenseVector(x), DenseVector(y))
+    a, b = matrix.conj() @ x, matrix.conj() @ y
+    rounding = 1e-12 * (1.0 + np.max(np.abs(a)) + np.max(np.abs(b)))
+    grid = np.linspace(0.0, 2.0 * np.pi, 20_001)
+    assert res.value <= np.min(_sup_over_frame(a, b, grid)) + rounding
+    assert res.value >= np.max(np.abs(np.abs(a) - np.abs(b))) - rounding
+    assert abs(_sup_over_frame(a, b, [res.theta_star])[0] - res.value) <= rounding
+    assert frak_distance(frame, DenseVector(y), DenseVector(x)).value == res.value
