@@ -37,7 +37,7 @@ from .frames import (
     ExplicitFrame,
     _numerical_rank,
     _unit_rows,
-    analysis_magnitudes,
+    coefficient_rows,
 )
 from .metrics import bures_distance_arrays, sign_patterns
 from .vectors import DenseVector, VectorRep
@@ -206,8 +206,7 @@ def complement_property(
 
 
 def _is_collision(frame, x, y) -> bool:
-    ax = analysis_magnitudes(frame, x)
-    ay = analysis_magnitudes(frame, y)
+    ax, ay = np.abs(coefficient_rows(frame, [x, y]))
     scale = float(np.linalg.norm(ax))
     if scale == 0.0:
         return False

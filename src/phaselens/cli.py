@@ -85,9 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args):
-    for name in ("tol", "prefix", "cap_subsets", "cap_signs"):
+    for name in ("tol", "cap_subsets", "cap_signs"):
         if getattr(args, name) <= 0:
             raise FrameFormatError(f"--{name.replace('_', '-')} must be positive")
+    if args.prefix < 2:
+        raise FrameFormatError("--prefix must be at least 2")
 
 
 def _emit(args, payload: dict, table_lines):

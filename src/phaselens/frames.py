@@ -3,8 +3,9 @@
 An ``ExplicitFrame`` stores m vectors of an n-dimensional space as the rows of
 its synthesis matrix (transposed convention: ``matrix[i]`` is phi_i).  A
 ``PairwiseSumFrame`` is the structured family {e_i + e_j}_{i<j} on the sequence
-space, truncated at a stated index N; truncation is exact for vectors
-supported within the first N coordinates.
+space, truncated at a stated index N; truncation is exact for vectors that
+are zero from index N on, because every functional e_i + e_j with j > N then
+repeats |x_i| = |<x, e_i + e_N>|.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .vectors import (
     FiniteSupportVector,
     ReciprocalVector,
     VectorRep,
+    _rows,
     as_rep,
-    entries,
 )
 
 REAL = "real"
@@ -71,17 +72,22 @@ class ExplicitFrame:
         return DenseVector(self.matrix[j - 1])
 
     def coerce(self, x) -> np.ndarray:
-        """Dense coordinates of x in this frame's ambient space."""
+        """Coordinates of x in this frame's space; real on a real frame."""
         x = as_rep(x)
         if isinstance(x, ReciprocalVector):
             raise IncompatibleVector("reciprocal vector does not live in a finite-dimensional space")
-        if isinstance(x, FiniteSupportVector):
-            x = x.to_dense(self.dim)
-        if x.dim != self.dim:
-            raise DimensionMismatch(f"vector dim {x.dim} vs frame dim {self.dim}")
-        if self.field == REAL and np.iscomplexobj(x.coords) and np.max(np.abs(x.coords.imag)) != 0.0:
-            raise FieldError("complex vector against a real frame")
-        return x.coords
+        if isinstance(x, DenseVector):
+            extent, coords = x.dim, x.coords
+        else:
+            extent = max(x.max_support, self.dim)
+            coords = _rows([x], np.arange(1, self.dim + 1))[0]
+        if extent != self.dim:
+            raise DimensionMismatch(f"vector extent {extent} vs frame dim {self.dim}")
+        if self.field == REAL and np.iscomplexobj(coords):
+            if np.any(coords.imag):
+                raise FieldError("complex vector against a real frame")
+            coords = coords.real
+        return coords
 
     def __repr__(self):
         return f"ExplicitFrame(m={self.m}, dim={self.dim}, field={self.field!r})"
@@ -112,17 +118,13 @@ class PairwiseSumFrame:
         return int(self._i[idx - 1]) + 1, int(self._j[idx - 1]) + 1
 
     def check_exact(self, x: VectorRep) -> bool:
-        """True when the truncated index set sees all of x (zero tail)."""
+        """True when x is zero from index N on, so the truncation is exact."""
         x = as_rep(x)
         if isinstance(x, FiniteSupportVector):
-            return x.max_support <= self.truncation
+            return x.max_support < self.truncation
         if isinstance(x, DenseVector):
-            return x.dim <= self.truncation or not np.any(x.coords[self.truncation:])
+            return not np.any(x.coords[self.truncation - 1:])
         return False  # reciprocal has an infinite tail
-
-    def entries(self, x) -> np.ndarray:
-        """First-N sequence entries of x."""
-        return entries(as_rep(x), self.truncation)
 
     def __repr__(self):
         return f"PairwiseSumFrame(truncation={self.truncation})"
@@ -139,17 +141,22 @@ class FrameBounds:
     upper: float
 
 
-def coefficients(frame: Frame, x) -> np.ndarray:
-    """Frame coefficients <x, phi_j>, indexed like the frame."""
+def coefficient_rows(frame: Frame, xs) -> np.ndarray:
+    """Frame coefficients <x, phi_j> of every x in xs, one row per x, indexed
+    like the frame.  On an explicit frame the stacked product runs one gemv
+    per row, so a row is bitwise the single-vector product."""
     if isinstance(frame, ExplicitFrame):
-        return frame.matrix.conj() @ frame.coerce(x)
-    ent = frame.entries(x)
-    return ent[frame._i] + ent[frame._j]
+        block = np.stack([frame.coerce(x) for x in xs])
+        return np.matmul(frame.matrix.conj()[None], block[:, :, None])[:, :, 0]
+    ent = _rows([as_rep(x) for x in xs], np.arange(1, frame.truncation + 1))
+    out = ent[:, frame._i]
+    out += ent[:, frame._j]
+    return out
 
 
 def analysis_magnitudes(frame: Frame, x) -> np.ndarray:
     """The magnitude pattern {|<x, phi_i>|}, indexed like the frame."""
-    return np.abs(coefficients(frame, x))
+    return np.abs(coefficient_rows(frame, [x])[0])
 
 
 def frame_operator(frame: ExplicitFrame) -> np.ndarray:

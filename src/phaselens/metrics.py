@@ -24,8 +24,7 @@ from .frames import (
     PairwiseSumFrame,
     _require_spanning,
     _row_scale,
-    analysis_magnitudes,
-    coefficients,
+    coefficient_rows,
     frame_bounds,
 )
 from .vectors import DenseVector, QuotientPoint, as_rep, inner_product
@@ -63,10 +62,9 @@ def d_phi(frame: Frame, x, y) -> float:
     """sup_j | |<x,phi_j>| - |<y,phi_j>| |.
 
     For a pairwise-sum frame the sup runs over the truncated index set; it is
-    exact whenever both vectors are supported within the truncation.
+    exact whenever both vectors are zero from index N on (``check_exact``).
     """
-    ax = analysis_magnitudes(frame, x)
-    ay = analysis_magnitudes(frame, y)
+    ax, ay = np.abs(coefficient_rows(frame, [x, y]))
     return float(np.max(np.abs(ax - ay)))
 
 
@@ -85,8 +83,7 @@ def d_phi_definitional(
     """
     if points < 2:
         raise IncompatibleVector("the theta grid needs >= 2 points")
-    a = coefficients(frame, x)
-    b = coefficients(frame, y)
+    a, b = coefficient_rows(frame, [x, y])
     real_case = not (np.iscomplexobj(a) or np.iscomplexobj(b))
     if real_case:
         per_index = np.minimum(np.abs(a - b), np.abs(a + b))
@@ -146,13 +143,17 @@ def frak_distance(frame: ExplicitFrame, x, y) -> FrakResult:
     """
     if isinstance(frame, PairwiseSumFrame):
         raise IncompatibleVector("minimax distance over an infinite frame is not supported")
-    a = coefficients(frame, x)
-    b = coefficients(frame, y)
+    a, b = coefficient_rows(frame, [x, y])
+    return _frak(a, b, frame.field == REAL)
+
+
+def _frak(a: np.ndarray, b: np.ndarray, real: bool) -> FrakResult:
+    """``frak_distance`` on the coefficient rows a and b."""
     swapped = False
-    if np.asarray(b).tobytes() < np.asarray(a).tobytes():
+    if b.tobytes() < a.tobytes():
         a, b = b, a
         swapped = True
-    if frame.field == REAL and not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+    if real:
         thetas = np.array([0.0, math.pi])
         phases = np.array([1.0, -1.0])
     else:
@@ -207,11 +208,11 @@ def inequality_report(frame: ExplicitFrame, x, y) -> MetricReport:
     """
     bounds = frame_bounds(frame)  # raises NotAFrameError when not spanning
     d_val = bures_distance(x, y)
-    dphi_val = d_phi(frame, x, y)
-    frak = frak_distance(frame, x, y)
-    alpha_diff = float(
-        np.linalg.norm(analysis_magnitudes(frame, x) - analysis_magnitudes(frame, y))
-    )
+    a, b = coefficient_rows(frame, [x, y])
+    delta = np.abs(a) - np.abs(b)
+    dphi_val = float(np.max(np.abs(delta)))
+    frak = _frak(a, b, frame.field == REAL)
+    alpha_diff = float(np.linalg.norm(delta))
     m = frame.m
     slacks = {
         "d_phi_le_sqrtB_D": math.sqrt(bounds.upper) * d_val - dphi_val,

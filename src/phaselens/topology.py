@@ -29,7 +29,7 @@ from .frames import (
     Frame,
     PairwiseSumFrame,
     _require_spanning,
-    analysis_magnitudes,
+    coefficient_rows,
 )
 from .io import vector_to_json
 from .metrics import realize_from_magnitudes
@@ -38,6 +38,7 @@ from .vectors import (
     FiniteSupportVector,
     ReciprocalVector,
     VectorRep,
+    _BLOCK_ENTRIES,
     as_rep,
     pairings,
 )
@@ -178,20 +179,19 @@ def _first_gap(traces: np.ndarray, tol: float) -> Optional[Tuple[int, float]]:
     return (int(hits[0]), float(gaps[hits[0]])) if hits.size else None
 
 
-def _magnitude_residuals(frame: Frame, points: Sequence[VectorRep], limit) -> np.ndarray:
-    """(m, P) residuals | |<x_k,phi_i>| - |<limit,phi_i>| |; the limit's
-    magnitudes are computed once."""
-    target = analysis_magnitudes(frame, limit)
-    residuals = np.empty((frame.m, len(points)))
-    for k, p in enumerate(points):
-        residuals[:, k] = np.abs(analysis_magnitudes(frame, p) - target)
-    return residuals
+def _residuals(values: np.ndarray) -> np.ndarray:
+    """(functionals, P) residuals | |v_k| - |v_0| | of rows v_1..v_P against
+    the limit's row v_0: the residual rule of every trace."""
+    mags = np.abs(values)
+    mags[1:] -= mags[0]
+    return np.abs(mags[1:], out=mags[1:]).T
 
 
-def _expand(seq, prefix: int) -> List[VectorRep]:
+def _expand(seq, prefix: int, limit) -> List[VectorRep]:
+    """The limit, then the first prefix points of seq."""
     if prefix < 2 or prefix > seq.length:
         raise IncompatibleVector(f"prefix {prefix} out of range 2..{seq.length}")
-    return [as_rep(seq.point(k)) for k in range(1, prefix + 1)]
+    return [as_rep(limit)] + [as_rep(seq.point(k)) for k in range(1, prefix + 1)]
 
 
 def converge_tau_phi(
@@ -207,8 +207,7 @@ def converge_tau_phi(
     whole tail quartile; the smallest such index is reported.
     """
     prefix = min(prefix, seq.length)
-    points = _expand(seq, prefix)
-    traces = _magnitude_residuals(frame, points, as_rep(limit))
+    traces = _residuals(coefficient_rows(frame, _expand(seq, prefix, limit)))
     verdict, witness, gap = ConvergenceVerdict.CONSISTENT, None, None
     hit = _first_gap(traces, tol)
     if hit is not None:
@@ -272,13 +271,10 @@ def converge_tau_w(
     if not witnesses:
         raise IncompatibleVector("witness list must be nonempty")
     prefix = min(prefix, seq.length)
-    points = _expand(seq, prefix)
-    limit = as_rep(limit)
     witnesses = [as_rep(w) for w in witnesses]
     # the limit rides in the same product as the points so that its overlaps
     # round exactly like theirs
-    overlaps = np.abs(pairings([limit] + points, witnesses)).T
-    traces = np.abs(overlaps[:, 1:] - overlaps[:, :1])
+    traces = _residuals(pairings(_expand(seq, prefix, limit), witnesses))
     verdict, witness, gap = ConvergenceVerdict.CONSISTENT, None, None
     hit = _first_gap(traces, tol)
     if hit is not None:
@@ -306,8 +302,13 @@ def converge_d_phi(
     Otherwise a persistent tail gap witnesses divergence.
     """
     prefix = min(prefix, seq.length)
-    points = _expand(seq, prefix)
-    trace = np.max(_magnitude_residuals(frame, points, as_rep(limit)), axis=0)
+    limit, *points = _expand(seq, prefix, limit)
+    # the column max in blocks of points, so no second (m, P) array is held
+    step = max(1, _BLOCK_ENTRIES // frame.m)
+    trace = np.concatenate([
+        np.max(_residuals(coefficient_rows(frame, [limit, *points[s:s + step]])), axis=0)
+        for s in range(0, len(points), step)
+    ])
     tail = _tail(trace)
     verdict, gap = ConvergenceVerdict.CONSISTENT, None
     if tail.size >= 2 and np.all(np.diff(tail) > 0) and float(tail[-1]) > 1e6 * tol:
@@ -335,7 +336,8 @@ def separation_witness(frame: Frame, x, y) -> Optional[int]:
     phase-retrieval frame that implies class equality.
     """
     x, y = as_rep(x), as_rep(y)
-    res = np.abs(analysis_magnitudes(frame, x) - analysis_magnitudes(frame, y))
+    ax, ay = np.abs(coefficient_rows(frame, [x, y]))
+    res = np.abs(ax - ay)
     threshold = config.SEPARATION_RTOL * max(x.norm(), y.norm())
     hits = np.flatnonzero(res > threshold)
     return int(hits[0]) + 1 if hits.size else None

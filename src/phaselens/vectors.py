@@ -102,13 +102,6 @@ class FiniteSupportVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
-    def to_dense(self, dim: int) -> DenseVector:
-        if self.max_support > dim:
-            raise DimensionMismatch(
-                f"support index {self.max_support} exceeds ambient dimension {dim}"
-            )
-        return DenseVector(entries(self, dim))
-
     def __repr__(self):
         pairs = list(zip(self.indices.tolist(), self.values.tolist()))
         return f"FiniteSupportVector({pairs!r})"
@@ -143,14 +136,6 @@ def basis_vector(k: int, dim: int | None = None, scale=1.0) -> VectorRep:
     out = np.zeros(dim, dtype=np.complex128 if np.iscomplexobj(np.asarray(scale)) else np.float64)
     out[k - 1] = scale
     return DenseVector(out)
-
-
-def entries(x: VectorRep, n: int) -> np.ndarray:
-    """First n sequence entries of x; a dense vector of dim >= n gives a view
-    of its coords, no copy."""
-    if isinstance(x, DenseVector) and x.dim >= n:
-        return x.coords[:n]
-    return _rows([x], np.arange(1, n + 1))[0]
 
 
 _BLOCK_ENTRIES = 1 << 20  # per row block of a ``pairings`` product: 8 MB real

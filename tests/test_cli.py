@@ -89,6 +89,21 @@ class TestDistCommand:
         assert code == EXIT_PARSE
         assert "invalid vector" in err
 
+    def test_complex_typed_real_vector_on_a_real_frame(self, capsys, data_dir):
+        # the same real x, once as complex JSON literals and once as a plain list
+        frame, y = str(data_dir / "r2_fullspark.json"), "[0.6404226504432821,0.10490011715303971]"
+        docs = []
+        for x in (
+            "[[0.1257302210933933,0],[-0.1321048632913019,0]]",
+            "[0.1257302210933933,-0.1321048632913019]",
+        ):
+            code, out, _ = run(capsys, "--format", "json", "dist", frame, x, y)
+            assert code == 0
+            docs.append(json.loads(out))
+        assert docs[0]["frak_D"] == docs[1]["frak_D"]
+        assert docs[0]["theta_star"] == docs[1]["theta_star"]
+        assert docs[0] == docs[1]
+
     def test_dimension_mismatch_is_a_parse_error(self, capsys, data_dir):
         code, _, err = run(
             capsys, "dist", str(data_dir / "r2_fullspark.json"), "1,2,3", "1,2"
@@ -136,6 +151,19 @@ class TestConvergeCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["tau_w"]["witness"] == {"structured": "reciprocal"}
+
+    def test_prefix_below_two_is_a_parse_error(self, capsys, data_dir):
+        code, _, err = run(
+            capsys,
+            "--prefix",
+            "1",
+            "converge",
+            str(data_dir / "r2_fullspark.json"),
+            json.dumps({"type": "scaled_basis", "length": 45}),
+            "0,0",
+        )
+        assert code == EXIT_PARSE
+        assert "--prefix" in err
 
     def test_bad_sequence_spec_exits_64(self, capsys, data_dir):
         code, _, err = run(

@@ -20,7 +20,32 @@ from phaselens import (
     frame_bounds,
     frame_operator,
 )
+from phaselens.frames import coefficient_rows
+from phaselens.metrics import d_phi
 from conftest import random_real_frame
+
+# the inputs of the pairwise-sum coefficient tests: every vector type, entries
+# short of, at and beyond N = 7, real and complex
+PAIRWISE_INPUTS = [
+    ReciprocalVector(),
+    DenseVector([1.0, -2.0, 0.5]),
+    DenseVector(np.arange(1.0, 12.0)),
+    DenseVector([1.0 + 2.0j, -0.5j]),
+    FiniteSupportVector([]),
+    FiniteSupportVector([(2, -1.5), (5, 2.0), (9, 0.25)]),
+    FiniteSupportVector([(3, 1j), (4, 2.0)]),
+    FiniteSupportVector([(9, 1j), (12, 2.0)]),
+]
+PAIRWISE_IDS = [
+    "reciprocal",
+    "dense_short",
+    "dense_long",
+    "dense_complex",
+    "empty_support",
+    "support_past_n",
+    "complex_support",
+    "complex_support_all_past_n",
+]
 
 
 class TestExplicitFrame:
@@ -44,6 +69,19 @@ class TestExplicitFrame:
     def test_coerce_lifts_finite_support(self, r2_frame):
         x = FiniteSupportVector([(2, 4.0)])
         assert r2_frame.coerce(x).tolist() == [0.0, 4.0]
+
+    def test_coerce_zero_fills_finite_support(self):
+        f = ExplicitFrame([np.eye(4)[k] for k in range(4)])
+        v = FiniteSupportVector([(1, 2.0), (3, -1.0)])
+        assert f.coerce(v).tolist() == [2.0, 0.0, -1.0, 0.0]
+        with pytest.raises(DimensionMismatch):
+            ExplicitFrame([np.eye(2)[k] for k in range(2)]).coerce(v)
+
+    def test_coerce_is_real_on_a_real_frame(self, r2_frame):
+        for v in (DenseVector([0.5 + 0j, -2.0 + 0j]), FiniteSupportVector([(2, 3.0 + 0j)])):
+            got = r2_frame.coerce(v)
+            assert got.dtype == np.float64
+            assert got.tolist() == [float(v.entry(1).real), float(v.entry(2).real)]
 
     def test_coerce_rejects_wrong_dimension_and_field(self, r2_frame):
         with pytest.raises(DimensionMismatch):
@@ -141,6 +179,47 @@ class TestAnalysisMagnitudes:
         assert np.array_equal(a, b)
 
 
+class TestCoefficientRows:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("count", [1, 2, 201])
+    def test_rows_equal_single_vector_products(self, field, count):
+        # one gemv per row: bitwise what M.conj() @ x gives for each x alone
+        rng = np.random.default_rng(count)
+        for n, m in ((2, 3), (4, 13), (8, 40)):
+            shape = (m, n)
+            mat = rng.standard_normal(shape)
+            xs = rng.standard_normal((count, n))
+            if field == "complex":
+                mat = mat + 1j * rng.standard_normal(shape)
+                xs = xs + 1j * rng.standard_normal((count, n))
+            f = ExplicitFrame(list(mat))
+            points = [DenseVector(x) for x in xs]
+            got = coefficient_rows(f, points)
+            expected = np.array([f.matrix.conj() @ f.coerce(x) for x in points])
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("x", PAIRWISE_INPUTS, ids=PAIRWISE_IDS)
+    def test_pairwise_rows_equal_entry_loop(self, x):
+        f = PairwiseSumFrame(7)
+        expected = np.array([x.entry(i) + x.entry(j) for i, j in f.pairs()])
+        got = coefficient_rows(f, [x])[0]
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    def test_pairwise_rows_of_one_block_equal_single_rows(self):
+        f = PairwiseSumFrame(7)
+        block = coefficient_rows(f, PAIRWISE_INPUTS)
+        assert block.shape == (len(PAIRWISE_INPUTS), f.m)
+        for row, x in zip(block, PAIRWISE_INPUTS):
+            assert np.array_equal(row, coefficient_rows(f, [x])[0])
+
+    def test_pairwise_rows_of_reciprocal(self):
+        f = PairwiseSumFrame(3)
+        got = coefficient_rows(f, [ReciprocalVector()])[0]
+        assert got.tolist() == [1.0 + 0.5, 1.0 + 1.0 / 3.0, 0.5 + 1.0 / 3.0]
+
+
 class TestPairwiseSumFrame:
     def test_size_and_pair_order(self):
         f = PairwiseSumFrame(4)
@@ -176,41 +255,24 @@ class TestPairwiseSumFrame:
         assert mags.tolist() == expected
 
     def test_check_exact(self):
+        # the predicate is the sufficient bound "zero from index N on", so it
+        # rejects e_5 at N = 5 although a one-entry vector is exact there too
         f = PairwiseSumFrame(5)
-        assert f.check_exact(FiniteSupportVector([(5, 1.0)]))
+        assert f.check_exact(FiniteSupportVector([(4, 1.0)]))
+        assert not f.check_exact(FiniteSupportVector([(5, 1.0)]))
         assert not f.check_exact(FiniteSupportVector([(6, 1.0)]))
+        assert f.check_exact(DenseVector([1.0, 2.0, 3.0, 4.0, 0.0, 0.0]))
+        assert not f.check_exact(DenseVector([1.0, 2.0, 3.0, 4.0, 5.0]))
         assert not f.check_exact(ReciprocalVector())
 
-    @pytest.mark.parametrize(
-        "x",
-        [
-            ReciprocalVector(),
-            DenseVector([1.0, -2.0, 0.5]),
-            DenseVector(np.arange(1.0, 12.0)),
-            DenseVector([1.0 + 2.0j, -0.5j]),
-            FiniteSupportVector([]),
-            FiniteSupportVector([(2, -1.5), (5, 2.0), (9, 0.25)]),
-            FiniteSupportVector([(3, 1j), (4, 2.0)]),
-            FiniteSupportVector([(9, 1j), (12, 2.0)]),
-        ],
-        ids=[
-            "reciprocal",
-            "dense_short",
-            "dense_long",
-            "dense_complex",
-            "empty_support",
-            "support_past_n",
-            "complex_support",
-            "complex_support_all_past_n",
-        ],
-    )
-    def test_entries_equal_entry_loop(self, x):
-        f = PairwiseSumFrame(7)
-        expected = np.array([x.entry(k) for k in range(1, 8)])
-        got = f.entries(x)
-        assert got.dtype == expected.dtype
-        assert got.tobytes() == expected.tobytes()
-
-    def test_entries_of_reciprocal(self):
-        f = PairwiseSumFrame(3)
-        assert f.entries(ReciprocalVector()).tolist() == [1.0, 0.5, 1.0 / 3.0]
+    def test_check_exact_agrees_with_longer_truncations(self):
+        # x = 2e_1 - (e_2 + ... + e_6), y = -(e_2 + ... + e_6): every functional
+        # e_i + e_j with i < j <= 6 gives equal magnitudes, e_1 + e_7 does not
+        tail = [(k, -1.0) for k in range(2, 7)]
+        x, y = FiniteSupportVector([(1, 2.0)] + tail), FiniteSupportVector(tail)
+        assert d_phi(PairwiseSumFrame(6), x, y) == 0.0
+        assert not PairwiseSumFrame(6).check_exact(x)
+        for n in (7, 26):
+            f = PairwiseSumFrame(n)
+            assert f.check_exact(x) and f.check_exact(y)
+            assert d_phi(f, x, y) == 2.0

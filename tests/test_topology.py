@@ -28,8 +28,32 @@ from phaselens import (
     inner_product,
     separation_witness,
 )
+from phaselens import topology
+from phaselens.frames import analysis_magnitudes
 from phaselens.vectors import BASEL_SUM
 from conftest import random_real_frame
+
+
+def _magnitude_loop(frame, points, limit):
+    """| |<x_k, phi_i>| - |<limit, phi_i>| | by one analysis_magnitudes call per point."""
+    target = analysis_magnitudes(frame, limit)
+    return np.array([np.abs(analysis_magnitudes(frame, p) - target) for p in points]).T
+
+
+def _trace_case(name, frames):
+    """(frame, seq, limit) of one named trace test case."""
+    if name == "pairwise_sum":
+        return PairwiseSumFrame(50), ScaledBasis(length=45, power=0.5), basis_vector(3)
+    if name == "c2":
+        limit = DenseVector([1.0 + 0.5j, -0.25j])
+        seq = PerturbedLimit(limit=limit, direction=DenseVector([0.3j, 0.7]), length=60)
+        return frames["c2"], seq, limit
+    limit = DenseVector([1.0, -1.0])
+    seq = PerturbedLimit(limit=limit, direction=DenseVector([0.3, 0.7]), length=60)
+    return frames["r2"], seq, limit
+
+
+TRACE_CASES = ["pairwise_sum", "r2", "c2"]
 
 
 class TestSequenceSpecs:
@@ -90,6 +114,14 @@ class TestInitialTopology:
         points[37] = DenseVector([5.0, 5.0])  # isolated outlier in the tail quartile
         rep = converge_tau_phi(r2_frame, ExplicitList(tuple(points)), limit, prefix=40)
         assert rep.verdict == ConvergenceVerdict.CONSISTENT
+
+    @pytest.mark.parametrize("case", TRACE_CASES)
+    def test_traces_equal_magnitude_loop(self, case, r2_frame, c2_frame):
+        frame, seq, limit = _trace_case(case, {"r2": r2_frame, "c2": c2_frame})
+        rep = converge_tau_phi(frame, seq, limit, prefix=45)
+        expected = _magnitude_loop(frame, [seq.point(k) for k in range(1, 46)], limit)
+        assert rep.residual_traces.shape == expected.shape
+        assert rep.residual_traces.tobytes(order="C") == expected.tobytes(order="C")
 
     def test_prefix_validation(self, r2_frame):
         seq = AlternatingSign(length=10)
@@ -255,16 +287,24 @@ class TestMetricConvergence:
         assert rep.verdict == ConvergenceVerdict.DIVERGENCE
         assert np.all(rep.residual_traces[0] == 1.0)
 
-    @pytest.mark.parametrize("case", ["pairwise_sum", "r2"])
-    def test_trace_equals_per_point_d_phi(self, case, r2_frame):
-        if case == "pairwise_sum":
-            frame, seq, limit = PairwiseSumFrame(50), ScaledBasis(length=45, power=0.5), basis_vector(3)
-        else:
-            frame, limit = r2_frame, DenseVector([1.0, -1.0])
-            seq = PerturbedLimit(limit=limit, direction=DenseVector([0.3, 0.7]), length=60)
+    @pytest.mark.parametrize("case", TRACE_CASES)
+    def test_trace_equals_per_point_d_phi(self, case, r2_frame, c2_frame):
+        frame, seq, limit = _trace_case(case, {"r2": r2_frame, "c2": c2_frame})
         rep = converge_d_phi(frame, seq, limit, prefix=45)
         expected = np.array([d_phi(frame, seq.point(k), limit) for k in range(1, 46)])
         assert rep.residual_traces[0].tobytes() == expected.tobytes()
+        loop = _magnitude_loop(frame, [seq.point(k) for k in range(1, 46)], limit)
+        assert rep.residual_traces[0].tobytes() == np.max(loop, axis=0).tobytes()
+
+    @pytest.mark.parametrize("case", TRACE_CASES)
+    def test_blocked_trace_equals_one_block(self, case, r2_frame, c2_frame, monkeypatch):
+        frame, seq, limit = _trace_case(case, {"r2": r2_frame, "c2": c2_frame})
+        whole = converge_d_phi(frame, seq, limit, prefix=45).residual_traces
+        # blocks of 1 and of 2 points, the last one short
+        for entries in (1, 2 * frame.m):
+            monkeypatch.setattr(topology, "_BLOCK_ENTRIES", entries)
+            blocked = converge_d_phi(frame, seq, limit, prefix=45).residual_traces
+            assert blocked.tobytes() == whole.tobytes()
 
     def test_consistent_perturbed_sequence(self, r2_frame):
         seq = PerturbedLimit(

@@ -67,13 +67,6 @@ class TestFiniteSupportVector:
         with pytest.raises(IncompatibleVector):
             FiniteSupportVector([(0, 1.0)])
 
-    def test_to_dense(self):
-        v = FiniteSupportVector([(1, 2.0), (3, -1.0)])
-        dense = v.to_dense(4)
-        assert dense.coords.tolist() == [2.0, 0.0, -1.0, 0.0]
-        with pytest.raises(DimensionMismatch):
-            v.to_dense(2)
-
     def test_empty_support_is_the_zero_sequence(self):
         v = FiniteSupportVector([])
         assert v.max_support == 0
