@@ -70,13 +70,6 @@ class TestExplicitFrame:
         x = FiniteSupportVector([(2, 4.0)])
         assert r2_frame.coerce(x).tolist() == [0.0, 4.0]
 
-    def test_coerce_zero_fills_finite_support(self):
-        f = ExplicitFrame([np.eye(4)[k] for k in range(4)])
-        v = FiniteSupportVector([(1, 2.0), (3, -1.0)])
-        assert f.coerce(v).tolist() == [2.0, 0.0, -1.0, 0.0]
-        with pytest.raises(DimensionMismatch):
-            ExplicitFrame([np.eye(2)[k] for k in range(2)]).coerce(v)
-
     def test_coerce_is_real_on_a_real_frame(self, r2_frame):
         for v in (DenseVector([0.5 + 0j, -2.0 + 0j]), FiniteSupportVector([(2, 3.0 + 0j)])):
             got = r2_frame.coerce(v)
@@ -199,25 +192,12 @@ class TestCoefficientRows:
             assert got.dtype == expected.dtype
             assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("x", PAIRWISE_INPUTS, ids=PAIRWISE_IDS)
-    def test_pairwise_rows_equal_entry_loop(self, x):
-        f = PairwiseSumFrame(7)
-        expected = np.array([x.entry(i) + x.entry(j) for i, j in f.pairs()])
-        got = coefficient_rows(f, [x])[0]
-        assert got.dtype == expected.dtype
-        assert got.tobytes() == expected.tobytes()
-
     def test_pairwise_rows_of_one_block_equal_single_rows(self):
         f = PairwiseSumFrame(7)
         block = coefficient_rows(f, PAIRWISE_INPUTS)
         assert block.shape == (len(PAIRWISE_INPUTS), f.m)
         for row, x in zip(block, PAIRWISE_INPUTS):
             assert np.array_equal(row, coefficient_rows(f, [x])[0])
-
-    def test_pairwise_rows_of_reciprocal(self):
-        f = PairwiseSumFrame(3)
-        got = coefficient_rows(f, [ReciprocalVector()])[0]
-        assert got.tolist() == [1.0 + 0.5, 1.0 + 1.0 / 3.0, 0.5 + 1.0 / 3.0]
 
 
 class TestPairwiseSumFrame:
@@ -242,6 +222,19 @@ class TestPairwiseSumFrame:
             abs(x.entry(i) + x.entry(j)) for i in range(1, 8) for j in range(i + 1, 8)
         ]
         assert analysis_magnitudes(f, x).tolist() == expected
+
+    @pytest.mark.parametrize("x", PAIRWISE_INPUTS, ids=PAIRWISE_IDS)
+    def test_entries_equal_entry_loop(self, x):
+        f = PairwiseSumFrame(7)
+        expected = np.array([x.entry(i) + x.entry(j) for i, j in f.pairs()])
+        got = coefficient_rows(f, [x])[0]
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    def test_entries_of_reciprocal(self):
+        f = PairwiseSumFrame(3)
+        got = coefficient_rows(f, [ReciprocalVector()])[0]
+        assert got.tolist() == [1.0 + 0.5, 1.0 + 1.0 / 3.0, 0.5 + 1.0 / 3.0]
 
     def test_truncation_must_be_at_least_two(self):
         with pytest.raises(IncompatibleVector):

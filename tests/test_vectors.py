@@ -8,6 +8,7 @@ import pytest
 from phaselens import (
     DenseVector,
     DimensionMismatch,
+    ExplicitFrame,
     FiniteSupportVector,
     IncompatibleVector,
     QuotientPoint,
@@ -66,6 +67,14 @@ class TestFiniteSupportVector:
     def test_nonpositive_index_rejected(self):
         with pytest.raises(IncompatibleVector):
             FiniteSupportVector([(0, 1.0)])
+
+    def test_to_dense(self):
+        # the zero fill happens in the frame that reads the vector
+        f = ExplicitFrame([np.eye(4)[k] for k in range(4)])
+        v = FiniteSupportVector([(1, 2.0), (3, -1.0)])
+        assert f.coerce(v).tolist() == [2.0, 0.0, -1.0, 0.0]
+        with pytest.raises(DimensionMismatch):
+            ExplicitFrame([np.eye(2)[k] for k in range(2)]).coerce(v)
 
     def test_empty_support_is_the_zero_sequence(self):
         v = FiniteSupportVector([])
