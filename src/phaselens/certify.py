@@ -1,11 +1,17 @@
 """Phase-retrieval certification: spark, complement property, falsifier.
 
-Two independent routes decide the real case:
+A real frame does phase retrieval iff, for every split of the index set, one
+side spans (the complement property).  Two independent routes decide it:
 
 * ``complement_property`` enumerates index subsets and rank-checks each side;
-* ``falsify_by_sign_enumeration`` builds a colliding pair from the null spaces
-  of the two sides of a sign split and verifies it directly through the
-  magnitude map.  It draws no random numbers.
+* ``falsify_by_sign_enumeration`` tries every sign split and builds a
+  colliding pair from the null spaces of its two sides (``_split_pair``),
+  verified directly through the magnitude map.  It draws no random numbers.
+
+``certify_phase_retrieval`` refutes a real frame with m < 2n-1 by counting,
+with no search: the split {1..k}, k = max(1, min(n, m) - 1), leaves fewer
+than n vectors on each side.  ``_split_pair`` is the only code that builds a
+colliding pair; the coincidence suite takes its pair from the certificate.
 
 A complex frame is refuted only by a failing subset; when the complement
 property holds, the verdict is inconclusive.
@@ -18,7 +24,7 @@ verdict: either a failing subset (both spans deficient) or a colliding pair
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Tuple, Union
 
@@ -216,32 +222,6 @@ def _is_collision(frame, x, y) -> bool:
     return bures_distance_arrays(xd, yd) > config.COLLISION_CLASS_RTOL * np.linalg.norm(xd)
 
 
-def _sign_collision_search(frame: ExplicitFrame, sign_cap: int) -> Optional[CollidingPair]:
-    """First colliding pair built from a sign split, or None.
-
-    Each sign pattern splits the index set; when neither side spans, x = u + w
-    and y = u - w, with u orthogonal to the minus side and w to the plus side,
-    have equal magnitude patterns.  Patterns run in ``sign_patterns`` order,
-    so the pair is deterministic, and each pair is checked through the
-    magnitude map before it is returned.
-    """
-    m = frame.m
-    if m > sign_cap:
-        raise EnumerationCapExceeded(f"m={m} exceeds sign cap {sign_cap}")
-    unit = _unit_rows(frame.matrix)
-    for row in sign_patterns(m)[1:]:  # row 0 is all +1; every other row has both signs
-        u = _null_vector(unit[row < 0])
-        if u is None:
-            continue
-        w = _null_vector(unit[row > 0])
-        if w is None:
-            continue
-        xv, yv = DenseVector(u + w), DenseVector(u - w)
-        if _is_collision(frame, xv, yv):
-            return CollidingPair(xv, yv)
-    return None
-
-
 def _null_vector(rows: np.ndarray):
     """A unit vector orthogonal to all given rows, or None if they span."""
     _, sv, vh = np.linalg.svd(rows, full_matrices=True)
@@ -251,60 +231,76 @@ def _null_vector(rows: np.ndarray):
     return vh[rank].conj()
 
 
+def _split_pair(frame: ExplicitFrame, plus: np.ndarray) -> Optional[CollidingPair]:
+    """Colliding pair of the split of the frame vectors by the boolean mask
+    ``plus``, or None when a side spans or the pair fails the check.
+
+    x = u + w and y = u - w, with u orthogonal to the rows outside the mask
+    and w to the rows inside, have equal magnitude patterns; the pair is
+    checked through the magnitude map before it is returned.  On a spanning
+    frame a split with two deficient sides always gives a pair.
+    """
+    unit = _unit_rows(frame.matrix)
+    u = _null_vector(unit[~plus])
+    if u is None:
+        return None
+    w = _null_vector(unit[plus])
+    if w is None:
+        return None
+    xv, yv = DenseVector(u + w), DenseVector(u - w)
+    return CollidingPair(xv, yv) if _is_collision(frame, xv, yv) else None
+
+
 def falsify_by_sign_enumeration(
     frame: ExplicitFrame, sign_cap: int = config.DEFAULT_SIGN_CAP
 ) -> Optional[CollidingPair]:
     """Construct a colliding pair of a real frame, or return None.
 
-    For each split of the index set into two sides (one per sign pattern
-    with the first sign +1), a vector orthogonal to each side gives the pair
-    x = u + w, y = u - w whenever neither side spans.  A real frame fails the
-    complement property exactly when some split has two such sides, so for a
-    spanning frame None means phase retrieval.  Deterministic: no sampling.
+    Each sign pattern with the first sign +1 splits the index set, and
+    ``_split_pair`` is tried on the splits in ``sign_patterns`` order.  A real
+    frame fails the complement property exactly when some split has two
+    deficient sides, so for a spanning frame None means phase retrieval.
+    Deterministic: no sampling.
     """
     if frame.field != REAL:
         raise FieldError("sign-enumeration falsifier requires a real frame")
-    return _sign_collision_search(frame, sign_cap)
+    if frame.m > sign_cap:
+        raise EnumerationCapExceeded(f"m={frame.m} exceeds sign cap {sign_cap}")
+    for row in sign_patterns(frame.m)[1:]:  # row 0 is all +1; every other row has both signs
+        pair = _split_pair(frame, row > 0)
+        if pair is not None:
+            return pair
+    return None
 
 
 def certify_phase_retrieval(
     frame: ExplicitFrame,
     subset_cap: int = config.DEFAULT_SUBSET_CAP,
-    sign_cap: int = config.DEFAULT_SIGN_CAP,
     seed: int = 0,
 ) -> Certificate:
     """Full certification pipeline.
 
-    Real field: the count bound m >= 2n-1 is checked first (violations are
-    refuted with a constructed colliding pair, or else a failing subset); the
-    complement property is the exact decision otherwise.  Complex field: the
-    complement property is necessary only, so a failing subset refutes and
-    anything else is Inconclusive.  Certification draws no random numbers;
-    ``seed`` is only recorded in the certificate's parameters.
+    Real field with m < 2n-1: no search runs.  The split sigma = {1..k},
+    k = max(1, min(n, m) - 1), has two deficient sides by counting; the
+    witness is its ``_split_pair``, or sigma itself on a frame that does not
+    span and gives no pair.  Every other frame is decided by
+    ``complement_property`` (Inconclusive on a complex frame that passes).
+    Certification draws no random numbers; ``seed`` is only recorded in the
+    certificate's parameters.
     """
-    params = {
-        "tolerance": config.RANK_RTOL,
-        "subset_cap": subset_cap,
-        "sign_cap": sign_cap,
-        "seed": seed,
-    }
+    params = {"tolerance": config.RANK_RTOL, "subset_cap": subset_cap, "seed": seed}
+    m, n = frame.m, frame.dim
+    if frame.field != REAL or m >= 2 * n - 1:
+        return replace(complement_property(frame, subset_cap), parameters=params)
+    k = max(1, min(n, m) - 1)
+    # a single vector leaves no second side to split off
+    pair = _split_pair(frame, np.arange(m) < k) if m > 1 else None
+    if pair is not None:
+        method, witness = Method.NECESSARY_CONDITION_ONLY, pair
+    else:
+        method, witness = Method.COMPLEMENT_PROPERTY, FailingSubset(tuple(range(1, k + 1)))
     fp = io.frame_fingerprint(frame)
-
-    def done(verdict, method, witness=None):
-        return Certificate(verdict, method, fp, witness, params)
-
-    if frame.field == REAL and frame.m < 2 * frame.dim - 1:
-        pair = _sign_collision_search(frame, sign_cap)
-        if pair is not None:
-            return done(Verdict.NOT_PHASE_RETRIEVAL, Method.NECESSARY_CONDITION_ONLY, pair)
-        # fall through: complement property must also fail and provides a
-        # failing-subset witness
-    failing = _failing_subset(frame, subset_cap)
-    if failing is not None:
-        return done(Verdict.NOT_PHASE_RETRIEVAL, Method.COMPLEMENT_PROPERTY, failing)
-    if frame.field == REAL:
-        return done(Verdict.PHASE_RETRIEVAL, Method.COMPLEMENT_PROPERTY)
-    return done(Verdict.INCONCLUSIVE, Method.NECESSARY_CONDITION_ONLY)
+    return Certificate(Verdict.NOT_PHASE_RETRIEVAL, method, fp, witness, params)
 
 
 def transform_frame(frame: ExplicitFrame, u) -> ExplicitFrame:

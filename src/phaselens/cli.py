@@ -60,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", type=int, default=config.DEFAULT_PREFIX)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap-subsets", type=int, default=config.DEFAULT_SUBSET_CAP)
-    p.add_argument("--cap-signs", type=int, default=config.DEFAULT_SIGN_CAP)
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("certify", help="certify the phase-retrieval property")
@@ -85,11 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args):
-    for name in ("tol", "cap_subsets", "cap_signs"):
+    for name in ("tol", "cap_subsets"):
         if getattr(args, name) <= 0:
             raise FrameFormatError(f"--{name.replace('_', '-')} must be positive")
     if args.prefix < 2:
         raise FrameFormatError("--prefix must be at least 2")
+    if getattr(args, "trials", 1) < 1:
+        raise FrameFormatError("--trials must be at least 1")
 
 
 def _emit(args, payload: dict, table_lines):
@@ -136,12 +137,7 @@ def cmd_certify(args) -> int:
     frame = load_frame(args.frame, field=args.field)
     if not isinstance(frame, ExplicitFrame):
         raise FrameFormatError("certification requires an explicit frame")
-    cert = certify_phase_retrieval(
-        frame,
-        subset_cap=args.cap_subsets,
-        sign_cap=args.cap_signs,
-        seed=args.seed,
-    )
+    cert = certify_phase_retrieval(frame, subset_cap=args.cap_subsets, seed=args.seed)
     doc = cert.to_dict()
     lines = [
         f"verdict      {cert.verdict.value}",

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import config
-from .certify import CollidingPair, Verdict, certify_phase_retrieval, falsify_by_sign_enumeration
+from .certify import FailingSubset, Verdict, _split_pair, certify_phase_retrieval
 from .errors import IncompatibleVector
 from .frames import (
     ExplicitFrame,
@@ -376,9 +376,10 @@ def finite_dim_coincidence_suite(
 
     For a certified phase-retrieval real frame, random magnitude-realized
     sequences must agree on every trial.  For a non-PR frame a mismatch
-    exemplar is constructed from a colliding pair: the sequence of sign-flipped
-    representatives of one class converges to the other class in the initial
-    topology but visibly not in the weak sense.
+    exemplar is constructed from the certificate's colliding pair, or from the
+    pair of its failing split: the sequence of sign-flipped representatives
+    of one class converges to the other class in the initial topology but
+    visibly not in the weak sense.
     """
     if frame.field != "real":
         raise IncompatibleVector("coincidence suite requires a real frame")
@@ -412,8 +413,8 @@ def finite_dim_coincidence_suite(
                 )
     else:
         pair = cert.witness
-        if not isinstance(pair, CollidingPair):
-            pair = falsify_by_sign_enumeration(frame)
+        if isinstance(pair, FailingSubset):
+            pair = _split_pair(frame, np.isin(np.arange(1, frame.m + 1), pair.indices))
         if pair is not None:
             u, v = as_rep(pair.x), as_rep(pair.y)
             points = tuple(

@@ -1,4 +1,5 @@
-"""Shared fixtures: the three reference frames and random-frame helpers."""
+"""Shared fixtures: the three reference frames, random-frame helpers and
+witness checks that re-verify outside the certification code path."""
 
 import pathlib
 import tempfile
@@ -6,7 +7,13 @@ import tempfile
 import numpy as np
 import pytest
 
-from phaselens import DenseVector, ExplicitFrame
+from phaselens import (
+    CollidingPair,
+    DenseVector,
+    ExplicitFrame,
+    analysis_magnitudes,
+    bures_distance,
+)
 from phaselens.repro import c2_four_vector_frame, onb_r2_frame, r2_full_spark_frame
 
 try:
@@ -61,3 +68,29 @@ def random_unit(rng, n, complex_field=False):
     if complex_field:
         v = v + 1j * rng.standard_normal(n)
     return DenseVector(v / np.linalg.norm(v))
+
+
+def verify_failing_subset(frame, witness):
+    """Both the subset and its complement must have deficient rank."""
+    idx = set(witness.indices)
+    sub = frame.matrix[[i - 1 for i in sorted(idx)], :]
+    comp = frame.matrix[[i - 1 for i in range(1, frame.m + 1) if i not in idx], :]
+    full = frame.dim
+    rank = lambda a: 0 if a.size == 0 else np.linalg.matrix_rank(a, tol=1e-8)
+    return rank(sub) < full and rank(comp) < full
+
+
+def verify_collision(frame, witness):
+    """Equal magnitude patterns, distinct quotient classes."""
+    ax = analysis_magnitudes(frame, witness.x)
+    ay = analysis_magnitudes(frame, witness.y)
+    same_pattern = np.max(np.abs(ax - ay)) <= 1e-7 * np.linalg.norm(ax)
+    distinct = bures_distance(witness.x, witness.y) > 1e-7 * witness.x.norm()
+    return same_pattern and distinct
+
+
+def verify_witness(frame, witness):
+    """A colliding pair or a failing subset, re-verified by the checks above."""
+    if isinstance(witness, CollidingPair):
+        return verify_collision(frame, witness)
+    return verify_failing_subset(frame, witness)

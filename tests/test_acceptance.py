@@ -49,7 +49,7 @@ from phaselens.repro import (
     run_scenario,
 )
 from phaselens import ExplicitFrame
-from conftest import random_complex_frame, random_real_frame, random_unit
+from conftest import random_complex_frame, random_real_frame, random_unit, verify_witness
 
 C2 = c2_four_vector_frame()
 R2 = r2_full_spark_frame()
@@ -144,7 +144,7 @@ def test_criterion_05_certification_suite():
             frame = random_real_frame(rng, 2 * n - 2, n)
             cert = certify_phase_retrieval(frame)
             assert cert.verdict == Verdict.NOT_PHASE_RETRIEVAL
-            assert cert.witness is not None
+            assert verify_witness(frame, cert.witness)
 
     # (c) subset-rank route vs constructive falsifier: zero disagreements
     disagreements = 0

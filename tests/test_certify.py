@@ -19,8 +19,6 @@ from phaselens import (
     Method,
     SingularTransformError,
     Verdict,
-    analysis_magnitudes,
-    bures_distance,
     certify_phase_retrieval,
     complement_property,
     falsify_by_sign_enumeration,
@@ -28,26 +26,7 @@ from phaselens import (
     spark,
     transform_frame,
 )
-from conftest import random_real_frame
-
-
-def verify_failing_subset(frame, witness):
-    """Both the subset and its complement must have deficient rank."""
-    idx = set(witness.indices)
-    sub = frame.matrix[[i - 1 for i in sorted(idx)], :]
-    comp = frame.matrix[[i - 1 for i in range(1, frame.m + 1) if i not in idx], :]
-    full = frame.dim
-    rank = lambda a: 0 if a.size == 0 else np.linalg.matrix_rank(a, tol=1e-8)
-    return rank(sub) < full and rank(comp) < full
-
-
-def verify_collision(frame, witness):
-    """Equal magnitude patterns, distinct quotient classes."""
-    ax = analysis_magnitudes(frame, witness.x)
-    ay = analysis_magnitudes(frame, witness.y)
-    same_pattern = np.max(np.abs(ax - ay)) <= 1e-7 * np.linalg.norm(ax)
-    distinct = bures_distance(witness.x, witness.y) > 1e-7 * witness.x.norm()
-    return same_pattern and distinct
+from conftest import random_real_frame, verify_collision, verify_failing_subset
 
 
 class TestSpark:
@@ -205,6 +184,20 @@ class TestCertifyPipeline:
         assert cert.verdict == Verdict.NOT_PHASE_RETRIEVAL
         assert isinstance(cert.witness, CollidingPair)
         assert verify_collision(onb_frame, cert.witness)
+
+    def test_count_route_pair_is_the_first_falsifier_pair(self):
+        # below m = 2n - 1 certify splits off {1..k} without a search; on
+        # generic frames that is the first split the falsifier's loop refutes
+        for seed in (0, 1, 2):
+            rng = np.random.default_rng(seed)
+            for n in range(2, 8):
+                for m in range(2, 2 * n - 1):
+                    frame = random_real_frame(rng, m, n)
+                    cert = certify_phase_retrieval(frame)
+                    pair = falsify_by_sign_enumeration(frame)
+                    assert cert.method == Method.NECESSARY_CONDITION_ONLY
+                    assert np.array_equal(cert.witness.x.coords, pair.x.coords)
+                    assert np.array_equal(cert.witness.y.coords, pair.y.coords)
 
     def test_complex_fixture_inconclusive(self, c2_frame):
         cert = certify_phase_retrieval(c2_frame)

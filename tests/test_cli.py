@@ -2,9 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from phaselens import CollidingPair, ExplicitFrame
 from phaselens.cli import EXIT_CAP, EXIT_PARSE, main
+from phaselens.io import vector_from_obj
+from conftest import verify_collision
 
 
 def run(capsys, *argv):
@@ -28,6 +32,19 @@ class TestCertifyCommand:
         code, out, _ = run(capsys, "certify", str(data_dir / "c2_example34.json"))
         assert code == 2
         assert "necessary_condition_only" in out
+
+    def test_undercomplete_frame_needs_no_search(self, capsys, tmp_path):
+        # m = 30 is beyond the falsifier's sign cap; certify refutes by counting
+        matrix = np.random.default_rng(3).standard_normal((30, 20))
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps({"field": "real", "dim": 20, "vectors": matrix.tolist()}))
+        code, out, _ = run(capsys, "--format", "json", "certify", str(path))
+        assert code == 1
+        witness = json.loads(out)["witness"]
+        assert witness["type"] == "colliding_pair"
+        frame = ExplicitFrame(matrix)
+        pair = CollidingPair(vector_from_obj(witness["x"]), vector_from_obj(witness["y"]))
+        assert verify_collision(frame, pair)
 
     def test_cap_exceeded_exits_65(self, capsys, data_dir):
         code, _, err = run(
@@ -212,6 +229,14 @@ class TestSuiteCommand:
         doc = json.loads(out)
         assert doc["pr_certified"] is True
         assert doc["mismatches"] == 0
+
+    def test_trials_below_one_is_a_parse_error(self, capsys, data_dir):
+        code, out, err = run(
+            capsys, "--format", "json", "suite", str(data_dir / "r2_fullspark.json"), "--trials", "-3"
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "--trials" in err
 
 
 class TestReproCommand:

@@ -2,10 +2,11 @@
 
 Frames are {-1, 0, 1} integer matrices with n = 2..4 and m = n..2n+1 that
 span, so repeated, parallel and zero vectors all occur.  Two routes must
-agree (subset enumeration and the constructive falsifier), and the verdict
-must not move under transforms that preserve phase retrieval.  The exact
-minimax distance is checked against a dense phase grid on small complex
-frames whose entries mix Gaussian integers and floats.
+agree (subset enumeration and the constructive falsifier), every negative
+witness must re-verify, and the verdict must not move under transforms that
+preserve phase retrieval.  The exact minimax distance is checked against a
+dense phase grid on small complex frames whose entries mix Gaussian integers
+and floats.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from phaselens import (
     falsify_by_sign_enumeration,
     frak_distance,
 )
+from conftest import verify_witness
 
 
 @st.composite
@@ -43,8 +45,10 @@ def as_frame(matrix):
 @given(spanning_integer_frames())
 def test_complement_property_agrees_with_falsifier(matrix):
     frame = as_frame(matrix)
-    positive = complement_property(frame).verdict == Verdict.PHASE_RETRIEVAL
+    cp, full = complement_property(frame), certify_phase_retrieval(frame)
+    positive = cp.verdict == Verdict.PHASE_RETRIEVAL
     assert positive == (falsify_by_sign_enumeration(frame) is None)
+    assert all(c.verdict == Verdict.PHASE_RETRIEVAL or verify_witness(frame, c.witness) for c in (cp, full))
 
 
 @given(spanning_integer_frames(), st.data())

@@ -351,6 +351,16 @@ class TestCoincidenceSuite:
         exemplar = rep.exemplars[0]
         assert exemplar["tau_phi"] != exemplar["tau_w"]
 
+    @pytest.mark.parametrize("copies", [19, 20])
+    def test_pair_comes_from_the_failing_subset(self, copies):
+        # e2 then e1 repeated: the complement property fails at {1} and the
+        # suite builds its pair from that split; m = 21 is beyond the
+        # falsifier's sign cap, and m = 20 would cost it 2^19 sign patterns
+        frame = ExplicitFrame([DenseVector([0.0, 1.0])] + [DenseVector([1.0, 0.0])] * copies)
+        rep = finite_dim_coincidence_suite(frame, trials=2, seed=0)
+        assert not rep.pr_certified
+        assert rep.mismatches == 1
+
     def test_requires_real_spanning_frame(self, c2_frame):
         with pytest.raises(IncompatibleVector):
             finite_dim_coincidence_suite(c2_frame, trials=2)
