@@ -3,22 +3,20 @@
 A real frame does phase retrieval iff, for every split of the index set, one
 side spans (the complement property).  Two independent routes decide it:
 
-* ``complement_property`` enumerates index subsets and rank-checks each side;
+* ``complement_property`` rank-checks the sides of the splits, a block of
+  them per stacked SVD (``_subset_rank``, shared with spark and full spark);
+  a side of fewer than n vectors is deficient by counting and is not ranked;
 * ``falsify_by_sign_enumeration`` tries every sign split and builds a
   colliding pair from the null spaces of its two sides (``_split_pair``),
   verified directly through the magnitude map.  It draws no random numbers.
 
-``certify_phase_retrieval`` refutes a real frame with m < 2n-1 by counting,
-with no search: the split {1..k}, k = max(1, min(n, m) - 1), leaves fewer
-than n vectors on each side.  ``_split_pair`` is the only code that builds a
-colliding pair; the coincidence suite takes its pair from the certificate.
-
-A complex frame is refuted only by a failing subset; when the complement
-property holds, the verdict is inconclusive.
-
-A certificate always carries a machine-checkable witness for a negative
-verdict: either a failing subset (both spans deficient) or a colliding pair
-(equal magnitude patterns, distinct classes).
+``certify_phase_retrieval`` refutes a real frame with m < 2n-1 by counting:
+the split {1..k}, k = max(1, min(n, m) - 1), leaves fewer than n vectors on
+each side.  ``_split_pair`` alone builds colliding pairs; the coincidence
+suite takes its pair from the certificate.  A complex frame is refuted only
+by a failing subset, and is inconclusive otherwise.  A negative verdict
+always carries a machine-checkable witness: a failing subset (both spans
+deficient) or a colliding pair (equal magnitude patterns, distinct classes).
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from .frames import (
     coefficient_rows,
 )
 from .metrics import bures_distance_arrays, sign_patterns
-from .vectors import DenseVector, VectorRep
+from .vectors import _BLOCK_ENTRIES, DenseVector, VectorRep
 
 
 class Verdict(str, Enum):
@@ -121,12 +119,21 @@ class SparkResult:
         return self.spark is None
 
 
-def _subset_rank(unit: np.ndarray, indices) -> int:
-    """Rank of the rows of ``unit`` at the 1-based ``indices``."""
-    if len(indices) == 0:
-        return 0
-    sv = np.linalg.svd(unit[[i - 1 for i in indices], :], compute_uv=False)
-    return _numerical_rank(sv)
+def _subset_rank(unit: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Ranks of the rows of ``unit`` picked by each mask of a (B, m) boolean
+    block, by one stacked SVD: zeroed rows keep the nonzero singular values."""
+    return _numerical_rank(np.linalg.svd(unit * masks[:, :, None], compute_uv=False))
+
+
+def _mask_blocks(m: int, n: int, k: int, first: bool = False):
+    """The size-k subsets of m indices (only those holding index 1 if ``first``)
+    in lexicographic order, as (B, m) boolean masks with B * m * n capped by
+    ``_BLOCK_ENTRIES``, so that a stack of B masked m x n frames stays small."""
+    combos = itertools.combinations(range(int(first), m), k - int(first))
+    while chunk := list(itertools.islice(combos, max(1, _BLOCK_ENTRIES // (m * n)))):
+        masks = (np.array(chunk, dtype=np.intp)[:, :, None] == np.arange(m)).any(axis=1)
+        masks[:, 0] |= first
+        yield masks
 
 
 def _first_dependent(frame: ExplicitFrame, sizes) -> Optional[Tuple[int, ...]]:
@@ -134,9 +141,10 @@ def _first_dependent(frame: ExplicitFrame, sizes) -> Optional[Tuple[int, ...]]:
     lexicographically within a size; None when all are independent."""
     unit = _unit_rows(frame.matrix)
     for k in sizes:
-        for combo in itertools.combinations(range(1, frame.m + 1), k):
-            if _subset_rank(unit, combo) < k:
-                return combo
+        for masks in _mask_blocks(frame.m, frame.dim, k):
+            hits = masks[_subset_rank(unit, masks) < k]
+            if len(hits):
+                return tuple((np.flatnonzero(hits[0]) + 1).tolist())
     return None
 
 
@@ -167,27 +175,22 @@ def is_full_spark(frame: ExplicitFrame) -> bool:
     return _first_dependent(frame, (n,)) is None
 
 
-def _complement_pairs(m: int):
-    """Each unordered pair {sigma, sigma^c} exactly once: sigma contains index
-    1, visited by increasing size then lexicographic order."""
-    rest = range(2, m + 1)
-    for size in range(1, m + 1):
-        for tail in itertools.combinations(rest, size - 1):
-            yield (1,) + tail
-
-
 def _failing_subset(frame: ExplicitFrame, subset_cap: int) -> Optional[FailingSubset]:
-    """First sigma in ``_complement_pairs`` order such that neither sigma nor
-    its complement spans, or None when the complement property holds."""
+    """First sigma holding index 1, by size then lexicographically, such that
+    neither sigma nor its complement spans; None if the property holds."""
     m, n = frame.m, frame.dim
     if m > subset_cap:
         raise EnumerationCapExceeded(f"m={m} exceeds subset cap {subset_cap}")
     unit = _unit_rows(frame.matrix)
-    for sigma in _complement_pairs(m):
-        if _subset_rank(unit, sigma) < n:
-            comp = tuple(i for i in range(1, m + 1) if i not in sigma)
-            if _subset_rank(unit, comp) < n:
-                return FailingSubset(sigma)
+    for k in range(1, m + 1):
+        for sigma in _mask_blocks(m, n, k, first=True):
+            # fewer than n rows are deficient by counting; rank only the rest
+            if k >= n:
+                sigma = sigma[_subset_rank(unit, sigma) < n]
+            if m - k >= n and len(sigma):
+                sigma = sigma[_subset_rank(unit, ~sigma) < n]
+            if len(sigma):
+                return FailingSubset(tuple((np.flatnonzero(sigma[0]) + 1).tolist()))
     return None
 
 
@@ -251,9 +254,7 @@ def _split_pair(frame: ExplicitFrame, plus: np.ndarray) -> Optional[CollidingPai
     return CollidingPair(xv, yv) if _is_collision(frame, xv, yv) else None
 
 
-def falsify_by_sign_enumeration(
-    frame: ExplicitFrame, sign_cap: int = config.DEFAULT_SIGN_CAP
-) -> Optional[CollidingPair]:
+def falsify_by_sign_enumeration(frame: ExplicitFrame) -> Optional[CollidingPair]:
     """Construct a colliding pair of a real frame, or return None.
 
     Each sign pattern with the first sign +1 splits the index set, and
@@ -264,8 +265,8 @@ def falsify_by_sign_enumeration(
     """
     if frame.field != REAL:
         raise FieldError("sign-enumeration falsifier requires a real frame")
-    if frame.m > sign_cap:
-        raise EnumerationCapExceeded(f"m={frame.m} exceeds sign cap {sign_cap}")
+    if frame.m > config.DEFAULT_SIGN_CAP:
+        raise EnumerationCapExceeded(f"m={frame.m} exceeds sign cap {config.DEFAULT_SIGN_CAP}")
     for row in sign_patterns(frame.m)[1:]:  # row 0 is all +1; every other row has both signs
         pair = _split_pair(frame, row > 0)
         if pair is not None:

@@ -190,11 +190,10 @@ def canonical_dual(frame: ExplicitFrame) -> ExplicitFrame:
     return ExplicitFrame([DenseVector(row) for row in dual], field=frame.field)
 
 
-def _numerical_rank(sv: np.ndarray) -> int:
-    """Count of descending singular values above RANK_RTOL times the largest."""
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > config.RANK_RTOL * sv[0]))
+def _numerical_rank(sv: np.ndarray):
+    """Count of descending singular values above RANK_RTOL times the largest,
+    along the last axis: one rank for one matrix, an array for a stack."""
+    return np.count_nonzero(sv > config.RANK_RTOL * sv[..., :1], axis=-1)
 
 
 def _row_scale(matrix: np.ndarray) -> np.ndarray:

@@ -239,9 +239,7 @@ _REALIZE_BLOCK_ROWS = 4096
 
 
 def realize_from_magnitudes(
-    frame: ExplicitFrame,
-    target,
-    sign_cap: int = config.DEFAULT_SIGN_CAP,
+    frame: ExplicitFrame, target
 ) -> Optional[QuotientPoint] | list[Optional[QuotientPoint]]:
     """Invert a magnitude pattern over a real spanning frame, if possible.
 
@@ -265,8 +263,8 @@ def realize_from_magnitudes(
         raise IncompatibleVector(f"target length {targets.shape} vs frame count {m}")
     if np.any(targets < 0):
         raise IncompatibleVector("magnitude targets must be nonnegative")
-    if m > sign_cap:
-        raise EnumerationCapExceeded(f"m={m} exceeds sign cap {sign_cap}")
+    if m > config.DEFAULT_SIGN_CAP:
+        raise EnumerationCapExceeded(f"m={m} exceeds sign cap {config.DEFAULT_SIGN_CAP}")
     block = targets.reshape(-1, m)
     scale = _row_scale(frame.matrix)
     a = frame.matrix / scale[:, None]

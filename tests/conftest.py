@@ -1,6 +1,9 @@
-"""Shared fixtures: the three reference frames, random-frame helpers and
-witness checks that re-verify outside the certification code path."""
+"""Shared fixtures: the three reference frames, random-frame helpers,
+witness checks that re-verify outside the certification code path, and the
+per-subset enumeration loops that the stacked rank engine is checked
+against."""
 
+import itertools
 import pathlib
 import tempfile
 
@@ -11,9 +14,14 @@ from phaselens import (
     CollidingPair,
     DenseVector,
     ExplicitFrame,
+    Verdict,
     analysis_magnitudes,
     bures_distance,
+    complement_property,
+    is_full_spark,
+    spark,
 )
+from phaselens.frames import _numerical_rank, _unit_rows
 from phaselens.repro import c2_four_vector_frame, onb_r2_frame, r2_full_spark_frame
 
 try:
@@ -70,14 +78,22 @@ def random_unit(rng, n, complex_field=False):
     return DenseVector(v / np.linalg.norm(v))
 
 
+def _unit_rank(rows):
+    """Rank of unit-normalized rows by the relative 1e-10 rule, computed here
+    with numpy so that the witness checks do not share the decision path."""
+    if rows.shape[0] == 0:
+        return 0
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    sv = np.linalg.svd(rows / np.where(norms > 0.0, norms, 1.0), compute_uv=False)
+    return int(np.count_nonzero(sv > 1e-10 * sv[0]))
+
+
 def verify_failing_subset(frame, witness):
-    """Both the subset and its complement must have deficient rank."""
-    idx = set(witness.indices)
-    sub = frame.matrix[[i - 1 for i in sorted(idx)], :]
-    comp = frame.matrix[[i - 1 for i in range(1, frame.m + 1) if i not in idx], :]
+    """Both the subset and its complement must have deficient rank.  Rows are
+    ranked at unit norm, so a rescaled row is not mistaken for zero."""
+    inside = np.isin(np.arange(1, frame.m + 1), witness.indices)
     full = frame.dim
-    rank = lambda a: 0 if a.size == 0 else np.linalg.matrix_rank(a, tol=1e-8)
-    return rank(sub) < full and rank(comp) < full
+    return _unit_rank(frame.matrix[inside]) < full and _unit_rank(frame.matrix[~inside]) < full
 
 
 def verify_collision(frame, witness):
@@ -94,3 +110,55 @@ def verify_witness(frame, witness):
     if isinstance(witness, CollidingPair):
         return verify_collision(frame, witness)
     return verify_failing_subset(frame, witness)
+
+
+# The per-subset loops that spark, full spark and the complement property ran
+# before ranks were stacked: one SVD per subset, the package's rank rule.  The
+# engine must return the same witnesses, block by block.
+
+
+def _subset_rank_oracle(unit, indices):
+    if not indices:
+        return 0
+    return _numerical_rank(np.linalg.svd(unit[[i - 1 for i in indices], :], compute_uv=False))
+
+
+def first_dependent_oracle(frame, sizes):
+    unit = _unit_rows(frame.matrix)
+    for k in sizes:
+        for combo in itertools.combinations(range(1, frame.m + 1), k):
+            if _subset_rank_oracle(unit, combo) < k:
+                return combo
+    return None
+
+
+def failing_subset_oracle(frame):
+    m, n = frame.m, frame.dim
+    unit = _unit_rows(frame.matrix)
+    for size in range(1, m + 1):
+        for tail in itertools.combinations(range(2, m + 1), size - 1):
+            sigma = (1,) + tail
+            comp = tuple(i for i in range(1, m + 1) if i not in sigma)
+            if _subset_rank_oracle(unit, sigma) < n and _subset_rank_oracle(unit, comp) < n:
+                return sigma
+    return None
+
+
+def assert_engine_matches_oracle(frame):
+    """The certificate, spark and is_full_spark agree with the loops above,
+    witnesses included, and witnesses hold Python ints."""
+    m, n = frame.m, frame.dim
+    cert = complement_property(frame)
+    failing = failing_subset_oracle(frame)
+    assert (cert.witness.indices if cert.witness else None) == failing
+    assert (cert.verdict == Verdict.NOT_PHASE_RETRIEVAL) == (failing is not None)
+    dependent = first_dependent_oracle(frame, range(1, min(m, n) + 1))
+    if dependent is None and m > n:
+        dependent = tuple(range(1, n + 2))
+    result = spark(frame)
+    assert result.witness == dependent
+    assert result.spark == (len(dependent) if dependent else None)
+    for witness in (result.witness, cert.witness.indices if cert.witness else None):
+        assert all(type(i) is int for i in witness or ())
+    if m >= n:
+        assert is_full_spark(frame) == (first_dependent_oracle(frame, (n,)) is None)

@@ -26,7 +26,12 @@ from phaselens import (
     spark,
     transform_frame,
 )
-from conftest import random_real_frame, verify_collision, verify_failing_subset
+from conftest import (
+    assert_engine_matches_oracle,
+    random_real_frame,
+    verify_collision,
+    verify_failing_subset,
+)
 
 
 class TestSpark:
@@ -86,6 +91,15 @@ class TestRescaledVectors:
         assert is_full_spark(f)
         assert spark(f).spark == 3
 
+    def test_witness_check_ranks_unit_rows(self):
+        # {1e-9 e1, e2, e1+e2} does phase retrieval; an absolute rank
+        # tolerance would take the first row for zero and accept {1, 2}
+        f = ExplicitFrame(
+            [DenseVector([1e-9, 0.0]), DenseVector([0.0, 1.0]), DenseVector([1.0, 1.0])]
+        )
+        assert certify_phase_retrieval(f).verdict == Verdict.PHASE_RETRIEVAL
+        assert not verify_failing_subset(f, FailingSubset((1, 2)))
+
     def test_zero_vector_still_gives_spark_one(self):
         f = ExplicitFrame(
             [DenseVector([1e-14, 0.0]), DenseVector([0.0, 0.0]), DenseVector([1.0, 1.0])]
@@ -143,6 +157,31 @@ def assert_repeatable_collision(frame):
     assert np.array_equal(pair.y.coords, again.y.coords)
 
 
+class TestStackedEngine:
+    """Blocks of subsets ranked at once give the per-subset loops' witnesses."""
+
+    @staticmethod
+    def frames():
+        rng = np.random.default_rng(16)
+        planted = rng.standard_normal((9, 3))
+        planted[[0, 2, 3, 4, 5, 7, 8], 2] = 0.0  # seven vectors in one plane
+        degenerate = rng.integers(-1, 2, size=(8, 3)).astype(float)
+        degenerate[3] = 0.0
+        scaled = rng.standard_normal((8, 4)) * 10.0 ** rng.uniform(-12, 0, size=(8, 1))
+        return [ExplicitFrame([DenseVector(r) for r in a]) for a in (planted, degenerate, scaled)]
+
+    @pytest.mark.parametrize("entries", [1, 64, 150, 1 << 20])
+    def test_blocks_split_mid_size(self, monkeypatch, entries):
+        # a block holds entries // (m * n) subsets, at least one: here 1, 2
+        # and 4 to 6, so most sizes end in a partial block; 1 << 20, the
+        # default, holds every size in one block
+        from phaselens import certify
+
+        monkeypatch.setattr(certify, "_BLOCK_ENTRIES", entries)
+        for frame in self.frames():
+            assert_engine_matches_oracle(frame)
+
+
 class TestFalsifier:
     def test_orthonormal_basis_collision(self, onb_frame):
         assert_repeatable_collision(onb_frame)
@@ -169,9 +208,11 @@ class TestFalsifier:
         with pytest.raises(FieldError):
             falsify_by_sign_enumeration(c2_frame)
 
-    def test_sign_cap(self, r2_frame):
+    def test_sign_cap(self):
+        # 21 vectors spanning R^2, one more than config.DEFAULT_SIGN_CAP
+        f = ExplicitFrame([DenseVector([1.0, float(j)]) for j in range(21)])
         with pytest.raises(EnumerationCapExceeded):
-            falsify_by_sign_enumeration(r2_frame, sign_cap=2)
+            falsify_by_sign_enumeration(f)
 
 
 class TestCertifyPipeline:

@@ -209,8 +209,10 @@ class TestRealization:
             realize_from_magnitudes(r2_frame, np.array([1.0, -2.0, 1.0]))
         with pytest.raises(FieldError):
             realize_from_magnitudes(c2_frame, np.ones(4))
+        # 21 vectors spanning R^2, one more than config.DEFAULT_SIGN_CAP
+        wide = ExplicitFrame([DenseVector([1.0, float(j)]) for j in range(21)])
         with pytest.raises(EnumerationCapExceeded):
-            realize_from_magnitudes(r2_frame, np.ones(3), sign_cap=2)
+            realize_from_magnitudes(wide, np.ones(21))
 
     @pytest.mark.parametrize(
         "m, n, count",

@@ -4,9 +4,11 @@ Frames are {-1, 0, 1} integer matrices with n = 2..4 and m = n..2n+1 that
 span, so repeated, parallel and zero vectors all occur.  Two routes must
 agree (subset enumeration and the constructive falsifier), every negative
 witness must re-verify, and the verdict must not move under transforms that
-preserve phase retrieval.  The exact minimax distance is checked against a
-dense phase grid on small complex frames whose entries mix Gaussian integers
-and floats.
+preserve phase retrieval.  The stacked rank engine behind the certificate,
+spark and full spark must return the witnesses of the per-subset loops, on
+those frames, on frames with rows rescaled by 10^U(-12, 0) and on complex
+frames.  The exact minimax distance is checked against a dense phase grid on
+small complex frames whose entries mix Gaussian integers and floats.
 """
 
 import numpy as np
@@ -25,7 +27,7 @@ from phaselens import (
     falsify_by_sign_enumeration,
     frak_distance,
 )
-from conftest import verify_witness
+from conftest import assert_engine_matches_oracle, verify_witness
 
 
 @st.composite
@@ -63,6 +65,37 @@ def test_verdict_invariant_under_pr_preserving_transforms(matrix, data):
     duplicated = np.vstack([matrix, matrix[row]])
     for variant in (matrix[list(order)], rescaled, duplicated):
         assert certify_phase_retrieval(as_frame(variant)).verdict == verdict
+
+
+_gaussian_frames = st.builds(
+    lambda n, extra, seed: np.random.default_rng(seed).standard_normal((n + extra, n)),
+    st.integers(2, 4),
+    st.integers(0, 5),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@st.composite
+def rescaled_frames(draw):
+    """An integer or Gaussian frame with each row scaled by 10^U(-12, 0)."""
+    base = draw(st.one_of(spanning_integer_frames(), _gaussian_frames))
+    exponents = draw(st.lists(st.floats(-12.0, 0.0), min_size=len(base), max_size=len(base)))
+    return base * 10.0 ** np.array(exponents)[:, None]
+
+
+@st.composite
+def complex_frames(draw):
+    """Small complex frames whose entries repeat, so dependencies and failing
+    splits occur."""
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(n, 3 * n))
+    entries = st.lists(st.sampled_from((0, 1, -1, 1j, -1j, 1 + 1j)), min_size=n, max_size=n)
+    return np.array(draw(st.lists(entries, min_size=m, max_size=m)), dtype=complex)
+
+
+@given(st.one_of(spanning_integer_frames(), rescaled_frames(), complex_frames()))
+def test_stacked_engine_agrees_with_per_subset_loops(matrix):
+    assert_engine_matches_oracle(as_frame(matrix))
 
 
 _parts = st.one_of(st.sampled_from((-1.0, 0.0, 0.5, 1.0)), st.floats(-2.0, 2.0))
