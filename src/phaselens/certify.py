@@ -4,11 +4,30 @@ A real frame does phase retrieval iff, for every split of the index set, one
 side spans (the complement property).  Two independent routes decide it:
 
 * ``complement_property`` rank-checks the sides of the splits, a block of
-  them per stacked SVD (``_subset_rank``, shared with spark and full spark);
-  a side of fewer than n vectors is deficient by counting and is not ranked;
+  them per stacked SVD of the gathered rows (``_subset_rank``, shared with
+  spark); a side of fewer than n vectors is deficient by counting and is not
+  ranked, and a screen of the n-subsets (below) rules out most of the rest;
 * ``falsify_by_sign_enumeration`` tries every sign split and builds a
   colliding pair from the null spaces of its two sides (``_split_pair``),
   verified directly through the magnitude map.  It draws no random numbers.
+
+The screen (``_weak_subsets``) makes one blocked pass over the n-subsets T of
+the unit rows and calls T weak iff sigma_n(Phi_T) <= 2 RANK_RTOL sqrt(m).  It
+takes |det Phi_T| and confirms by SVD only the T whose det is small:
+
+* sigma_n(Phi_T) >= |det Phi_T| / n^((n-1)/2), because sigma_1(Phi_T) <= sqrt(n);
+* a side S holding T has sigma_n(Phi_S) >= sigma_n(Phi_T) and
+  sigma_1(Phi_S) <= sqrt(m), so a T that is not weak makes every side holding
+  it span under ``_numerical_rank``, with a 2x margin for rounding;
+* so, with U the union of the weak n-subsets, a side of n or more rows with
+  an index outside U spans, and only sides inside U are ranked;
+* with m >= 2n-1 one side of a failing split has n or more rows and lies
+  inside U, while the other holds every index outside U in fewer than n
+  rows; so if n or more indices lie outside U (U empty, say) the property
+  holds and no split is walked.
+
+``is_full_spark`` takes the same screen: the frame has full spark iff every
+weak n-subset ranks n.
 
 ``certify_phase_retrieval`` refutes a real frame with m < 2n-1 by counting:
 the split {1..k}, k = max(1, min(n, m) - 1), leaves fewer than n vectors on
@@ -22,6 +41,7 @@ deficient) or a colliding pair (equal magnitude patterns, distinct classes).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Tuple, Union
@@ -119,21 +139,45 @@ class SparkResult:
         return self.spark is None
 
 
-def _subset_rank(unit: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Ranks of the rows of ``unit`` picked by each mask of a (B, m) boolean
-    block, by one stacked SVD: zeroed rows keep the nonzero singular values."""
-    return _numerical_rank(np.linalg.svd(unit * masks[:, :, None], compute_uv=False))
+def _subset_rank(unit: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Ranks of the rows of ``unit`` picked by each row of a (B, k) index
+    block, by one stacked SVD of the gathered (B, k, n) rows."""
+    return _numerical_rank(np.linalg.svd(unit[idx], compute_uv=False))
 
 
-def _mask_blocks(m: int, n: int, k: int, first: bool = False):
-    """The size-k subsets of m indices (only those holding index 1 if ``first``)
-    in lexicographic order, as (B, m) boolean masks with B * m * n capped by
-    ``_BLOCK_ENTRIES``, so that a stack of B masked m x n frames stays small."""
-    combos = itertools.combinations(range(int(first), m), k - int(first))
+def _subset_blocks(m: int, n: int, k: int, free=None, fixed=()):
+    """The size-k subsets of range(m) that hold every index in ``fixed`` and
+    draw the rest from the ascending ``free`` (default: all of range(m)),
+    in lexicographic order, as (B, k) blocks of ascending indices with
+    B * m * n capped by ``_BLOCK_ENTRIES``, so that a stack of B frames stays
+    small.  Sets sharing ``fixed`` compare as their parts drawn from ``free``,
+    so combining the two keeps the order."""
+    r = k - len(fixed)
+    combos = itertools.combinations(range(m) if free is None else free, r)
     while chunk := list(itertools.islice(combos, max(1, _BLOCK_ENTRIES // (m * n)))):
-        masks = (np.array(chunk, dtype=np.intp)[:, :, None] == np.arange(m)).any(axis=1)
-        masks[:, 0] |= first
-        yield masks
+        idx = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, len(chunk) * r)
+        idx = idx.reshape(len(chunk), r)
+        if len(fixed):
+            idx = np.sort(np.hstack([np.tile(fixed, (len(chunk), 1)), idx]), axis=1)
+        yield idx
+
+
+def _weak_subsets(unit: np.ndarray):
+    """The weak n-subsets T of the m unit rows, sigma_n(Phi_T) <= 2 RANK_RTOL
+    sqrt(m), in lexicographic order, as (index block, singular values) pairs.
+
+    One pass over the n-subsets takes |det Phi_T| a block at a time; since
+    sigma_1(Phi_T) <= sqrt(n), sigma_n(Phi_T) >= |det Phi_T| / n^((n-1)/2), so
+    only a T whose det is that small can be weak, and an SVD confirms those."""
+    m, n = unit.shape
+    bound = 2 * config.RANK_RTOL * math.sqrt(m)
+    for idx in _subset_blocks(m, n, n):
+        stack = unit[idx]
+        small = np.abs(np.linalg.det(stack)) <= bound * n ** ((n - 1) / 2)
+        if small.any():
+            sv = np.linalg.svd(stack[small], compute_uv=False)
+            weak = sv[:, -1] <= bound
+            yield idx[small][weak], sv[weak]
 
 
 def _first_dependent(frame: ExplicitFrame, sizes) -> Optional[Tuple[int, ...]]:
@@ -141,10 +185,10 @@ def _first_dependent(frame: ExplicitFrame, sizes) -> Optional[Tuple[int, ...]]:
     lexicographically within a size; None when all are independent."""
     unit = _unit_rows(frame.matrix)
     for k in sizes:
-        for masks in _mask_blocks(frame.m, frame.dim, k):
-            hits = masks[_subset_rank(unit, masks) < k]
+        for idx in _subset_blocks(frame.m, frame.dim, k):
+            hits = idx[_subset_rank(unit, idx) < k]
             if len(hits):
-                return tuple((np.flatnonzero(hits[0]) + 1).tolist())
+                return tuple((hits[0] + 1).tolist())
     return None
 
 
@@ -168,29 +212,49 @@ def spark(frame: ExplicitFrame) -> SparkResult:
 
 
 def is_full_spark(frame: ExplicitFrame) -> bool:
-    """True iff every n columns are linearly independent (requires m >= n)."""
+    """True iff every n columns are linearly independent (requires m >= n).
+
+    A T that is not weak has rank n, so only the weak n-subsets are ranked."""
     m, n = frame.m, frame.dim
     if m < n:
         raise IncompatibleVector(f"full spark needs m >= n, got m={m}, n={n}")
-    return _first_dependent(frame, (n,)) is None
+    weak = _weak_subsets(_unit_rows(frame.matrix))
+    return all((_numerical_rank(sv) == n).all() for _, sv in weak)
 
 
 def _failing_subset(frame: ExplicitFrame, subset_cap: int) -> Optional[FailingSubset]:
     """First sigma holding index 1, by size then lexicographically, such that
-    neither sigma nor its complement spans; None if the property holds."""
+    neither sigma nor its complement spans; None if the property holds.
+
+    Only candidates are built: a deficient side of n or more rows lies
+    inside U, the union of the weak n-subsets (see the module docstring), so
+    such a sigma draws from U, and such a complement leaves sigma every
+    index outside U."""
     m, n = frame.m, frame.dim
     if m > subset_cap:
         raise EnumerationCapExceeded(f"m={m} exceeds subset cap {subset_cap}")
     unit = _unit_rows(frame.matrix)
+    inside = np.zeros(m, dtype=bool)  # U
+    for idx, _ in _weak_subsets(unit):
+        inside[idx] = True
+    if m >= 2 * n - 1 and m - np.count_nonzero(inside) >= n:
+        return None
     for k in range(1, m + 1):
-        for sigma in _mask_blocks(m, n, k, first=True):
+        fixed = ~inside if m - k >= n else np.zeros(m, dtype=bool)
+        fixed[0] = True
+        pool = inside if k >= n else np.ones(m, dtype=bool)
+        if (fixed & ~pool).any() or np.count_nonzero(fixed) > k:
+            continue  # no size-k sigma holds ``fixed`` and stays in ``pool``
+        for sigma in _subset_blocks(m, n, k, np.flatnonzero(pool & ~fixed), np.flatnonzero(fixed)):
             # fewer than n rows are deficient by counting; rank only the rest
             if k >= n:
                 sigma = sigma[_subset_rank(unit, sigma) < n]
             if m - k >= n and len(sigma):
-                sigma = sigma[_subset_rank(unit, ~sigma) < n]
+                rest = np.ones((len(sigma), m), dtype=bool)
+                rest[np.arange(len(sigma))[:, None], sigma] = False
+                sigma = sigma[_subset_rank(unit, np.nonzero(rest)[1].reshape(len(sigma), -1)) < n]
             if len(sigma):
-                return FailingSubset(tuple((np.flatnonzero(sigma[0]) + 1).tolist()))
+                return FailingSubset(tuple((sigma[0] + 1).tolist()))
     return None
 
 

@@ -190,7 +190,12 @@ def pairings(xs, ys) -> np.ndarray:
 
 
 def inner_product(x: VectorRep, y: VectorRep):
-    """<x, y>, the one-pair case of ``pairings``."""
+    """<x, y>, the one-pair case of ``pairings``; two dense vectors take one
+    ``np.vdot``, which rounds as the pairing product does."""
+    if isinstance(x, DenseVector) and isinstance(y, DenseVector):
+        if x.dim != y.dim:
+            raise DimensionMismatch(f"dense dims differ: {sorted({x.dim, y.dim})}")
+        return np.vdot(y.coords, x.coords).item()
     return pairings([x], [y])[0, 0].item()
 
 

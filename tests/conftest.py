@@ -1,7 +1,7 @@
 """Shared fixtures: the three reference frames, random-frame helpers,
 witness checks that re-verify outside the certification code path, and the
-per-subset enumeration loops that the stacked rank engine is checked
-against."""
+per-subset enumeration loops that the stacked rank engine and its
+determinant screen are checked against."""
 
 import itertools
 import pathlib
@@ -21,6 +21,7 @@ from phaselens import (
     is_full_spark,
     spark,
 )
+from phaselens.certify import _weak_subsets
 from phaselens.frames import _numerical_rank, _unit_rows
 from phaselens.repro import c2_four_vector_frame, onb_r2_frame, r2_full_spark_frame
 
@@ -144,9 +145,23 @@ def failing_subset_oracle(frame):
     return None
 
 
+def weak_subsets_oracle(frame):
+    """The n-subsets T, as 1-based tuples in lexicographic order, whose unit
+    rows have sigma_n <= 2e-10 sqrt(m): one SVD per subset, no det screen."""
+    m, n = frame.m, frame.dim
+    unit = _unit_rows(frame.matrix)
+    bound = 2e-10 * np.sqrt(m)
+    return [
+        combo
+        for combo in itertools.combinations(range(1, m + 1), n)
+        if np.linalg.svd(unit[[i - 1 for i in combo]], compute_uv=False)[-1] <= bound
+    ]
+
+
 def assert_engine_matches_oracle(frame):
     """The certificate, spark and is_full_spark agree with the loops above,
-    witnesses included, and witnesses hold Python ints."""
+    witnesses included, witnesses hold Python ints, and the determinant
+    screen yields the weak n-subsets of ``weak_subsets_oracle``."""
     m, n = frame.m, frame.dim
     cert = complement_property(frame)
     failing = failing_subset_oracle(frame)
@@ -162,3 +177,5 @@ def assert_engine_matches_oracle(frame):
         assert all(type(i) is int for i in witness or ())
     if m >= n:
         assert is_full_spark(frame) == (first_dependent_oracle(frame, (n,)) is None)
+    screened = _weak_subsets(_unit_rows(frame.matrix))
+    assert [tuple((t + 1).tolist()) for idx, _ in screened for t in idx] == weak_subsets_oracle(frame)

@@ -21,6 +21,7 @@ from phaselens import (
     Verdict,
     certify_phase_retrieval,
     complement_property,
+    config,
     falsify_by_sign_enumeration,
     is_full_spark,
     spark,
@@ -158,7 +159,9 @@ def assert_repeatable_collision(frame):
 
 
 class TestStackedEngine:
-    """Blocks of subsets ranked at once give the per-subset loops' witnesses."""
+    """Blocks of subsets ranked at once give the per-subset loops' witnesses,
+    and the determinant screen finds the weak n-subsets that one SVD per
+    subset finds."""
 
     @staticmethod
     def frames():
@@ -174,12 +177,28 @@ class TestStackedEngine:
     def test_blocks_split_mid_size(self, monkeypatch, entries):
         # a block holds entries // (m * n) subsets, at least one: here 1, 2
         # and 4 to 6, so most sizes end in a partial block; 1 << 20, the
-        # default, holds every size in one block
+        # default, holds every size in one block.  The determinant screen
+        # walks the n-subsets in the same blocks.
         from phaselens import certify
 
         monkeypatch.setattr(certify, "_BLOCK_ENTRIES", entries)
         for frame in self.frames():
             assert_engine_matches_oracle(frame)
+
+    def test_gaussian_frame_at_the_cap_ranks_no_side(self, monkeypatch):
+        # no n-subset of a Gaussian frame is weak, so the screen alone
+        # certifies it: none of the 2^23 splits of 24 vectors is walked
+        from phaselens import certify
+
+        def no_ranking(*args):
+            raise AssertionError("_subset_rank called")
+
+        monkeypatch.setattr(certify, "_subset_rank", no_ranking)
+        frame = random_real_frame(np.random.default_rng(17), config.DEFAULT_SUBSET_CAP, 3)
+        cert = certify_phase_retrieval(frame)
+        assert cert.verdict == Verdict.PHASE_RETRIEVAL
+        assert cert.method == Method.COMPLEMENT_PROPERTY
+        assert is_full_spark(frame)
 
 
 class TestFalsifier:

@@ -6,10 +6,15 @@ agree (subset enumeration and the constructive falsifier), every negative
 witness must re-verify, and the verdict must not move under transforms that
 preserve phase retrieval.  The stacked rank engine behind the certificate,
 spark and full spark must return the witnesses of the per-subset loops, on
-those frames, on frames with rows rescaled by 10^U(-12, 0) and on complex
-frames.  The exact minimax distance is checked against a dense phase grid on
-small complex frames whose entries mix Gaussian integers and floats.
+those frames, on frames with rows rescaled by 10^U(-12, 0), on complex
+frames and on frames whose smallest n-subset sigma_n sits near the
+determinant screen's bound, and the screen must find the weak n-subsets that
+one SVD per subset finds.  The exact minimax distance is checked against a
+dense phase grid on small complex frames whose entries mix Gaussian integers
+and floats.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -128,3 +133,39 @@ def test_minimax_distance_is_the_exact_minimum(data):
     assert res.value >= np.max(np.abs(np.abs(a) - np.abs(b))) - rounding
     assert abs(_sup_over_frame(a, b, [res.theta_star])[0] - res.value) <= rounding
     assert frak_distance(frame, DenseVector(y), DenseVector(x)).value == res.value
+
+
+def smallest_sigma_n(matrix):
+    n = matrix.shape[1]
+    unit = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+    return min(np.linalg.svd(unit[list(t)], compute_uv=False)[-1]
+               for t in itertools.combinations(range(len(matrix)), n))
+
+
+@st.composite
+def near_screen_bound_frames(draw):
+    """Gaussian frames with m - n + 1 or more rows tilted off one hyperplane,
+    so that the smallest sigma_n over the n-subsets of the unit rows sits at
+    0.5, 1, 2 or 4 times the screen bound 2e-10 sqrt(m)."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(2 * n - 1, 2 * n + 2))
+    tilted = draw(st.integers(m - n + 1, m))
+    factor = draw(st.sampled_from((0.5, 1.0, 2.0, 4.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((m, n))
+    normal = rng.standard_normal(n)
+    normal /= np.linalg.norm(normal)
+    rows[:tilted] -= np.outer(rows[:tilted] @ normal, normal)
+    tilt = np.zeros((m, n))
+    tilt[:tilted] = np.outer(rng.standard_normal(tilted), normal)
+    target = factor * 2e-10 * np.sqrt(m)
+    # sigma_n is linear in a small tilt, so one probe sets the scale
+    scale = 1e-6 * target / smallest_sigma_n(rows + 1e-6 * tilt)
+    matrix = (rows + scale * tilt)[rng.permutation(m)]
+    assert smallest_sigma_n(matrix) == pytest.approx(target, rel=1e-3)
+    return matrix
+
+
+@given(near_screen_bound_frames())
+def test_screen_agrees_near_its_bound(matrix):
+    assert_engine_matches_oracle(as_frame(matrix))

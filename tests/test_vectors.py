@@ -112,6 +112,19 @@ class TestInnerProduct:
         y = DenseVector(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         assert inner_product(x, y) == pytest.approx(np.conj(inner_product(y, x)))
 
+    def test_dense_pair_equals_the_pairing_bit_for_bit(self):
+        rng = np.random.default_rng(18)
+        for trial in range(400):
+            n = int(rng.integers(1, 17))
+            x, y = rng.standard_normal(n), rng.standard_normal(n)
+            if trial % 2:
+                x = x + 1j * rng.standard_normal(n)
+            if trial % 3 == 0:
+                y = y + 1j * rng.standard_normal(n)
+            got = inner_product(DenseVector(x), DenseVector(y))
+            want = pairings([DenseVector(x)], [DenseVector(y)])[0, 0].item()
+            assert type(got) is type(want) and got == want
+
     def test_dense_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             inner_product(DenseVector([1.0]), DenseVector([1.0, 2.0]))
