@@ -27,7 +27,11 @@ takes |det Phi_T| and confirms by SVD only the T whose det is small:
   holds and no split is walked.
 
 ``is_full_spark`` takes the same screen: the frame has full spark iff every
-weak n-subset ranks n.
+weak n-subset ranks n.  So does ``spark`` when m >= n: a k-subset S (k <= n)
+with an index i outside U lies in an n-subset T that holds i, and T is not
+weak; by interlacing sigma_k(Phi_S) >= sigma_n(Phi_T) > 2 RANK_RTOL sqrt(m),
+which is at least 2 RANK_RTOL sigma_1(Phi_S), so S ranks k.  Only subsets
+inside U are ranked, in lexicographic order, so the witness is the same.
 
 ``certify_phase_retrieval`` refutes a real frame with m < 2n-1 by counting:
 the split {1..k}, k = max(1, min(n, m) - 1), leaves fewer than n vectors on
@@ -180,12 +184,21 @@ def _weak_subsets(unit: np.ndarray):
             yield idx[small][weak], sv[weak]
 
 
-def _first_dependent(frame: ExplicitFrame, sizes) -> Optional[Tuple[int, ...]]:
-    """First linearly dependent column subset, by size in the order given and
-    lexicographically within a size; None when all are independent."""
-    unit = _unit_rows(frame.matrix)
-    for k in sizes:
-        for idx in _subset_blocks(frame.m, frame.dim, k):
+def _weak_union(unit: np.ndarray) -> np.ndarray:
+    """U, the union of the weak n-subsets, as a boolean mask over the rows."""
+    inside = np.zeros(unit.shape[0], dtype=bool)
+    for idx, _ in _weak_subsets(unit):
+        inside[idx] = True
+    return inside
+
+
+def _first_dependent(unit: np.ndarray, top: int, free=None) -> Optional[Tuple[int, ...]]:
+    """First linearly dependent row subset of size at most ``top`` drawn
+    from ``free`` (default: every row), by size and lexicographically within
+    a size; None when all are independent."""
+    m, n = unit.shape
+    for k in range(1, top + 1):
+        for idx in _subset_blocks(m, n, k, free):
             hits = idx[_subset_rank(unit, idx) < k]
             if len(hits):
                 return tuple((hits[0] + 1).tolist())
@@ -196,12 +209,15 @@ def spark(frame: ExplicitFrame) -> SparkResult:
     """Size of the smallest linearly dependent column subset.
 
     Subsets are scanned by increasing size, lexicographically within a size,
-    so the witness is deterministic.  Full spark surfaces as spark = n + 1
+    so the witness is deterministic; with m >= n only subsets inside U are
+    ranked (see the module docstring).  Full spark surfaces as spark = n + 1
     (possible only when m >= n + 1); for m <= n with full rank the result is
     the all-independent marker.
     """
     m, n = frame.m, frame.dim
-    combo = _first_dependent(frame, range(1, min(m, n) + 1))
+    unit = _unit_rows(frame.matrix)
+    free = np.flatnonzero(_weak_union(unit)) if m >= n else None
+    combo = _first_dependent(unit, min(m, n), free)
     if combo is not None:
         return SparkResult(spark=len(combo), witness=combo)
     if m <= n:
@@ -234,9 +250,7 @@ def _failing_subset(frame: ExplicitFrame, subset_cap: int) -> Optional[FailingSu
     if m > subset_cap:
         raise EnumerationCapExceeded(f"m={m} exceeds subset cap {subset_cap}")
     unit = _unit_rows(frame.matrix)
-    inside = np.zeros(m, dtype=bool)  # U
-    for idx, _ in _weak_subsets(unit):
-        inside[idx] = True
+    inside = _weak_union(unit)
     if m >= 2 * n - 1 and m - np.count_nonzero(inside) >= n:
         return None
     for k in range(1, m + 1):

@@ -22,6 +22,8 @@ from .vectors import (
     FiniteSupportVector,
     ReciprocalVector,
     VectorRep,
+    _dense_dtype,
+    _is_block,
     _rows,
     as_rep,
 )
@@ -72,11 +74,13 @@ class ExplicitFrame:
         return DenseVector(self.matrix[j - 1])
 
     def coerce(self, x) -> np.ndarray:
-        """Coordinates of x in this frame's space; real on a real frame."""
-        x = as_rep(x)
-        if isinstance(x, ReciprocalVector):
+        """Coordinates of x in this frame's space; real on a real frame.  A
+        (P, n) block of P dense vectors gives their P rows."""
+        if _is_block(x):
+            extent, coords = x.shape[1], x.astype(_dense_dtype(x), copy=False)
+        elif isinstance(x := as_rep(x), ReciprocalVector):
             raise IncompatibleVector("reciprocal vector does not live in a finite-dimensional space")
-        if isinstance(x, DenseVector):
+        elif isinstance(x, DenseVector):
             extent, coords = x.dim, x.coords
         else:
             extent = max(x.max_support, self.dim)
@@ -144,11 +148,13 @@ class FrameBounds:
 def coefficient_rows(frame: Frame, xs) -> np.ndarray:
     """Frame coefficients <x, phi_j> of every x in xs, one row per x, indexed
     like the frame.  On an explicit frame the stacked product runs one gemv
-    per row, so a row is bitwise the single-vector product."""
+    per row, so a row is bitwise the single-vector product.  A (P, n) block
+    of dense vectors is taken as it is."""
     if isinstance(frame, ExplicitFrame):
-        block = np.stack([frame.coerce(x) for x in xs])
+        block = frame.coerce(xs) if _is_block(xs) else np.stack([frame.coerce(x) for x in xs])
+        block = np.ascontiguousarray(block)  # the layout np.stack gives, so the same gemv runs
         return np.matmul(frame.matrix.conj()[None], block[:, :, None])[:, :, 0]
-    ent = _rows([as_rep(x) for x in xs], np.arange(1, frame.truncation + 1))
+    ent = _rows(xs if _is_block(xs) else [as_rep(x) for x in xs], np.arange(1, frame.truncation + 1))
     out = ent[:, frame._i]
     out += ent[:, frame._j]
     return out

@@ -254,6 +254,16 @@ def realize_from_magnitudes(
     realizable.  A (P, m) block of targets returns a list of P such results,
     each equal to the result of its own 1-D call.
     """
+    targets = np.asarray(target, dtype=np.float64)
+    rows, found = _realize(frame, targets)
+    results = [QuotientPoint(DenseVector(y)) if ok else None for y, ok in zip(rows, found)]
+    return results if targets.ndim == 2 else results[0]
+
+
+def _realize(frame: ExplicitFrame, target) -> tuple[np.ndarray, np.ndarray]:
+    """``realize_from_magnitudes`` on a 1-D or (P, m) target, as one (P, n)
+    block of realizers and a (P,) mask of the rows that were found; a zero
+    target gives the zero row, a row not found is meaningless."""
     if frame.field != REAL:
         raise FieldError("magnitude realization requires a real frame")
     _require_spanning(frame)
@@ -270,11 +280,11 @@ def realize_from_magnitudes(
     a = frame.matrix / scale[:, None]
     unit = block / scale
     tols = config.REALIZE_RTOL * np.linalg.norm(unit, axis=1)
-    zero = ~block.any(axis=1)
     signs = sign_patterns(m)
     pinv_t = np.linalg.pinv(a).T
     step = max(1, _REALIZE_BLOCK_ROWS // signs.shape[0])
-    results = []
+    rows = np.empty((block.shape[0], frame.dim))
+    found = np.empty(block.shape[0], dtype=bool)
     for lo in range(0, block.shape[0], step):
         signed = signs * unit[lo:lo + step, None, :]  # (p, patterns, m)
         ys = signed @ pinv_t
@@ -283,12 +293,9 @@ def realize_from_magnitudes(
         fit *= fit
         hits = np.sqrt(fit.sum(axis=2)) <= tols[lo:lo + step, None]
         first = hits.argmax(axis=1)
-        found = hits[np.arange(first.size), first]
-        for i, (k, ok, nil) in enumerate(zip(first, found, zero[lo:lo + step])):
-            if nil:
-                results.append(QuotientPoint(DenseVector(np.zeros(frame.dim))))
-            elif ok:
-                results.append(QuotientPoint(DenseVector(ys[i, k])))
-            else:
-                results.append(None)
-    return results if targets.ndim == 2 else results[0]
+        rows[lo:lo + step] = ys[np.arange(first.size), first]
+        found[lo:lo + step] = hits[np.arange(first.size), first]
+    zero = ~block.any(axis=1)
+    rows[zero] = 0.0
+    found[zero] = True
+    return rows, found

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,13 +32,15 @@ from .frames import (
     coefficient_rows,
 )
 from .io import vector_to_json
-from .metrics import realize_from_magnitudes
+from .metrics import _realize
 from .vectors import (
     DenseVector,
     FiniteSupportVector,
     ReciprocalVector,
     VectorRep,
     _BLOCK_ENTRIES,
+    _dense_dtype,
+    _is_block,
     as_rep,
     pairings,
 )
@@ -52,14 +54,25 @@ class ConvergenceVerdict(str, Enum):
 
 # ---------------------------------------------------------------------------
 # sequence specifications
+#
+# A sequence has a length and a 1-based point(k).  One whose points are dense
+# also has head(p): its first p points as one (p, n) block, row k - 1 bitwise
+# equal to point(k).
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ExplicitList:
-    points: Tuple[VectorRep, ...]
+    """The given points: a tuple of vectors, or a (P, n) array of P dense
+    vectors, one per row."""
+
+    points: Union[Tuple[VectorRep, ...], np.ndarray]
 
     def __post_init__(self):
+        if isinstance(self.points, np.ndarray):
+            if not _is_block(self.points) or self.points.shape[1] == 0:
+                raise IncompatibleVector("a point block must be a (P, n) array with n >= 1")
+            object.__setattr__(self, "points", self.points.astype(_dense_dtype(self.points), copy=False))
         if len(self.points) < 2:
             raise IncompatibleVector("sequence needs at least 2 points")
 
@@ -68,7 +81,14 @@ class ExplicitList:
         return len(self.points)
 
     def point(self, k: int) -> VectorRep:
+        if isinstance(self.points, np.ndarray):
+            return DenseVector(self.points[k - 1])
         return self.points[k - 1]
+
+    def head(self, p: int):
+        if isinstance(self.points, np.ndarray):
+            return self.points[:p]
+        return [as_rep(x) for x in self.points[:p]]
 
 
 @dataclass(frozen=True)
@@ -82,6 +102,10 @@ class ScaledBasis:
     def __post_init__(self):
         if self.length < 2:
             raise IncompatibleVector("sequence range must be >= 2")
+        with np.errstate(over="ignore"):  # the largest entry, at k = length for a positive power
+            top = np.float64(self.length) ** self.power
+        if not np.isfinite(top):
+            raise IncompatibleVector(f"length ** power = {self.length} ** {self.power} is not finite")
 
     def point(self, k: int) -> VectorRep:
         return FiniteSupportVector([(k, float(k) ** self.power)])
@@ -101,10 +125,15 @@ class AlternatingSign:
         s = -1.0 if k % 2 else 1.0
         return DenseVector([s, -s])
 
+    def head(self, p: int) -> np.ndarray:
+        s = np.where(np.arange(1, p + 1) % 2, -1.0, 1.0)
+        return np.stack([s, -s], axis=1)
+
 
 @dataclass(frozen=True)
 class PerturbedLimit:
-    """x_k = limit + k^(-rate) * direction."""
+    """x_k = limit + k^(-rate) * direction, for a dense limit and direction of
+    one dimension."""
 
     limit: VectorRep
     direction: VectorRep
@@ -116,13 +145,20 @@ class PerturbedLimit:
             raise IncompatibleVector("sequence range must be >= 2")
         if self.rate <= 0:
             raise IncompatibleVector("decay rate must be positive")
-
-    def point(self, k: int) -> VectorRep:
-        lim = as_rep(self.limit)
-        d = as_rep(self.direction)
+        lim, d = as_rep(self.limit), as_rep(self.direction)
         if not isinstance(lim, DenseVector) or not isinstance(d, DenseVector):
             raise IncompatibleVector("perturbed-limit sequences need dense vectors")
+        if lim.dim != d.dim:
+            raise IncompatibleVector(f"limit dim {lim.dim} vs direction dim {d.dim}")
+
+    def point(self, k: int) -> VectorRep:
+        lim, d = as_rep(self.limit), as_rep(self.direction)
         return DenseVector(lim.coords + float(k) ** (-self.rate) * d.coords)
+
+    def head(self, p: int) -> np.ndarray:
+        # each row takes the same scalar k^(-rate) as point(k)
+        weights = np.array([float(k) ** (-self.rate) for k in range(1, p + 1)])
+        return as_rep(self.limit).coords + weights[:, None] * as_rep(self.direction).coords
 
 
 # ---------------------------------------------------------------------------
@@ -179,19 +215,29 @@ def _first_gap(traces: np.ndarray, tol: float) -> Optional[Tuple[int, float]]:
     return (int(hits[0]), float(gaps[hits[0]])) if hits.size else None
 
 
-def _residuals(values: np.ndarray) -> np.ndarray:
-    """(functionals, P) residuals | |v_k| - |v_0| | of rows v_1..v_P against
-    the limit's row v_0: the residual rule of every trace."""
+def _residuals(values: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """(functionals, P) residuals | |v_k| - |l| | of rows v_1..v_P against
+    the limit's row l: the residual rule of every trace."""
     mags = np.abs(values)
-    mags[1:] -= mags[0]
-    return np.abs(mags[1:], out=mags[1:]).T
+    mags -= np.abs(limit)
+    return np.abs(mags, out=mags).T
 
 
-def _expand(seq, prefix: int, limit) -> List[VectorRep]:
-    """The limit, then the first prefix points of seq."""
+def _expand(seq, prefix: int, limit):
+    """The limit, then the first prefix points of seq: one (prefix + 1, n)
+    block when the limit and the points are dense of one dimension, a list of
+    vectors otherwise."""
     if prefix < 2 or prefix > seq.length:
         raise IncompatibleVector(f"prefix {prefix} out of range 2..{seq.length}")
-    return [as_rep(limit)] + [as_rep(seq.point(k)) for k in range(1, prefix + 1)]
+    limit = as_rep(limit)
+    if not hasattr(seq, "head"):
+        return [limit] + [as_rep(seq.point(k)) for k in range(1, prefix + 1)]
+    points = seq.head(prefix)
+    if not _is_block(points):
+        return [limit, *points]
+    if isinstance(limit, DenseVector) and limit.dim == points.shape[1]:
+        return np.vstack([limit.coords, points])
+    return [limit, *(DenseVector(p) for p in points)]
 
 
 def converge_tau_phi(
@@ -207,7 +253,8 @@ def converge_tau_phi(
     whole tail quartile; the smallest such index is reported.
     """
     prefix = min(prefix, seq.length)
-    traces = _residuals(coefficient_rows(frame, _expand(seq, prefix, limit)))
+    rows = coefficient_rows(frame, _expand(seq, prefix, limit))
+    traces = _residuals(rows[1:], rows[0])
     verdict, witness, gap = ConvergenceVerdict.CONSISTENT, None, None
     hit = _first_gap(traces, tol)
     if hit is not None:
@@ -274,7 +321,8 @@ def converge_tau_w(
     witnesses = [as_rep(w) for w in witnesses]
     # the limit rides in the same product as the points so that its overlaps
     # round exactly like theirs
-    traces = _residuals(pairings(_expand(seq, prefix, limit), witnesses))
+    rows = pairings(_expand(seq, prefix, limit), witnesses)
+    traces = _residuals(rows[1:], rows[0])
     verdict, witness, gap = ConvergenceVerdict.CONSISTENT, None, None
     hit = _first_gap(traces, tol)
     if hit is not None:
@@ -302,12 +350,14 @@ def converge_d_phi(
     Otherwise a persistent tail gap witnesses divergence.
     """
     prefix = min(prefix, seq.length)
-    limit, *points = _expand(seq, prefix, limit)
-    # the column max in blocks of points, so no second (m, P) array is held
+    points = _expand(seq, prefix, limit)
+    # a coefficient row does not depend on the rows beside it, so the column
+    # max runs in blocks of points and no second (m, P) array is held
+    limit_row = coefficient_rows(frame, points[:1])[0]
     step = max(1, _BLOCK_ENTRIES // frame.m)
     trace = np.concatenate([
-        np.max(_residuals(coefficient_rows(frame, [limit, *points[s:s + step]])), axis=0)
-        for s in range(0, len(points), step)
+        np.max(_residuals(coefficient_rows(frame, points[s:s + step]), limit_row), axis=0)
+        for s in range(1, len(points), step)
     ])
     tail = _tail(trace)
     verdict, gap = ConvergenceVerdict.CONSISTENT, None
@@ -398,11 +448,13 @@ def finite_dim_coincidence_suite(
             d = rng.standard_normal(n)
             d *= 0.5 / np.linalg.norm(d)
             patterns = np.abs((x + d / steps) @ frame.matrix.T)
-            points = [r.rep for r in realize_from_magnitudes(frame, patterns)]
-            seq = ExplicitList(tuple(points))
+            points, found = _realize(frame, patterns)
+            if not found.all():
+                raise IncompatibleVector("a magnitude pattern of the suite has no realizer")
+            seq = ExplicitList(points)
             limit = DenseVector(x)
             rp = converge_tau_phi(frame, seq, limit, prefix, tol)
-            witnesses = [limit, points[0]] + default_tau_w_witnesses(
+            witnesses = [limit, seq.point(1)] + default_tau_w_witnesses(
                 dim=n, seed=seed + t, count_random=8
             )
             rw = converge_tau_w(seq, limit, witnesses, prefix, tol)
@@ -417,10 +469,8 @@ def finite_dim_coincidence_suite(
             pair = _split_pair(frame, np.isin(np.arange(1, frame.m + 1), pair.indices))
         if pair is not None:
             u, v = as_rep(pair.x), as_rep(pair.y)
-            points = tuple(
-                DenseVector((-1.0) ** k * u.coords) for k in range(1, prefix + 1)
-            )
-            seq = ExplicitList(points)
+            signs = np.where(np.arange(1, prefix + 1) % 2, -1.0, 1.0)  # (-1)^k
+            seq = ExplicitList(signs[:, None] * u.coords)
             rp = converge_tau_phi(frame, seq, v, prefix, tol)
             witnesses = [u, v] + default_tau_w_witnesses(dim=n, seed=seed, count_random=8)
             rw = converge_tau_w(seq, v, witnesses, prefix, tol)

@@ -8,6 +8,9 @@ Three representations are supported:
 * ``ReciprocalVector`` -- the fixed sequence whose k-th entry is 1/k; it is
   square-summable with squared norm pi^2/6.
 
+A 2-D array of shape (P, n) is accepted wherever a list of vectors is: it
+stands for P dense vectors, one per row, and passes through as one block.
+
 Inner products are linear in the first argument and conjugate-linear in the
 second.  Every pairing is one product over the indices at which its inputs
 can be nonzero (``pairings``); only reciprocal x reciprocal, with its
@@ -27,6 +30,11 @@ from .errors import DimensionMismatch, IncompatibleVector
 BASEL_SUM = math.pi ** 2 / 6.0  # sum of 1/k^2 over k >= 1
 
 
+def _dense_dtype(arr: np.ndarray):
+    """complex128 for complex coordinates, float64 for every other kind."""
+    return np.complex128 if np.iscomplexobj(arr) else np.float64
+
+
 class DenseVector:
     """Coordinate vector in an n-dimensional real or complex space.
 
@@ -39,10 +47,7 @@ class DenseVector:
         arr = np.asarray(coords)
         if arr.ndim != 1 or arr.size == 0:
             raise IncompatibleVector("dense vector must be a nonempty 1-d array")
-        if np.iscomplexobj(arr):
-            self.coords = arr.astype(np.complex128)
-        else:
-            self.coords = arr.astype(np.float64)
+        self.coords = arr.astype(_dense_dtype(arr))
 
     @property
     def dim(self) -> int:
@@ -141,10 +146,31 @@ def basis_vector(k: int, dim: int | None = None, scale=1.0) -> VectorRep:
 _BLOCK_ENTRIES = 1 << 20  # per row block of a ``pairings`` product: 8 MB real
 
 
+def _is_block(vs) -> bool:
+    """True when vs is a (P, n) array of dense coordinates."""
+    return isinstance(vs, np.ndarray) and vs.ndim == 2
+
+
+def _objects(vs):
+    """The vector objects of an input; a (P, n) block holds none."""
+    return () if _is_block(vs) else vs
+
+
+def _dense_dims(vs) -> set:
+    """The dimensions of the dense vectors of an input."""
+    if _is_block(vs):
+        return {vs.shape[1]}
+    return {v.dim for v in vs if isinstance(v, DenseVector)}
+
+
 def _rows(vs, cols: np.ndarray) -> np.ndarray:
     """Entries of each v at the sorted 1-based indices cols, which must hold
     every index up to cols[-1] at which some v can be nonzero; later entries
     are dropped.  Real unless a complex entry lands."""
+    if _is_block(vs):  # positions 0..n-1 hold indices 1..n
+        out = np.zeros((vs.shape[0], cols.size), dtype=_dense_dtype(vs))
+        out[:, : vs.shape[1]] = vs[:, : cols.size]
+        return out
     out = np.zeros((len(vs), cols.size))
     for i, v in enumerate(vs):
         if isinstance(v, DenseVector):  # positions 0..k-1 hold indices 1..k
@@ -174,17 +200,16 @@ def pairings(xs, ys) -> np.ndarray:
     reciprocal is pi^2/6; dense x dense needs one dim.  A pair sharing at most
     one nonzero index is exact; otherwise the summation order rounds.
     """
-    xdims = {v.dim for v in xs if isinstance(v, DenseVector)}
-    ydims = {v.dim for v in ys if isinstance(v, DenseVector)}
+    xdims, ydims = _dense_dims(xs), _dense_dims(ys)
     if xdims and ydims and len(xdims | ydims) > 1:
         raise DimensionMismatch(f"dense dims differ: {sorted(xdims | ydims)}")
-    support = [v.indices for v in (*xs, *ys) if isinstance(v, FiniteSupportVector)]
+    support = [v.indices for v in (*_objects(xs), *_objects(ys)) if isinstance(v, FiniteSupportVector)]
     cols = np.unique(np.concatenate([np.arange(1, max(xdims | ydims, default=0) + 1), *support]))
     right = _rows(ys, cols).conj().T
     step = max(1, _BLOCK_ENTRIES // max(cols.size, 1))
     out = np.concatenate([_rows(xs[s : s + step], cols) @ right for s in range(0, len(xs), step)])
-    rx = [isinstance(v, ReciprocalVector) for v in xs]
-    ry = [isinstance(v, ReciprocalVector) for v in ys]
+    rx = [isinstance(v, ReciprocalVector) for v in _objects(xs)]
+    ry = [isinstance(v, ReciprocalVector) for v in _objects(ys)]
     out[np.ix_(rx, ry)] = BASEL_SUM
     return out
 

@@ -1,7 +1,8 @@
 """Shared fixtures: the three reference frames, random-frame helpers,
-witness checks that re-verify outside the certification code path, and the
+witness checks that re-verify outside the certification code path, the
 per-subset enumeration loops that the stacked rank engine and its
-determinant screen are checked against."""
+determinant screen are checked against, and the per-point coincidence suite
+that the block suite is checked against."""
 
 import itertools
 import pathlib
@@ -11,17 +12,25 @@ import numpy as np
 import pytest
 
 from phaselens import (
+    CoincidenceReport,
     CollidingPair,
     DenseVector,
     ExplicitFrame,
+    ExplicitList,
+    FailingSubset,
     Verdict,
     analysis_magnitudes,
     bures_distance,
+    certify_phase_retrieval,
     complement_property,
+    converge_tau_phi,
+    converge_tau_w,
+    default_tau_w_witnesses,
     is_full_spark,
+    realize_from_magnitudes,
     spark,
 )
-from phaselens.certify import _weak_subsets
+from phaselens.certify import _split_pair, _weak_subsets
 from phaselens.frames import _numerical_rank, _unit_rows
 from phaselens.repro import c2_four_vector_frame, onb_r2_frame, r2_full_spark_frame
 
@@ -179,3 +188,51 @@ def assert_engine_matches_oracle(frame):
         assert is_full_spark(frame) == (first_dependent_oracle(frame, (n,)) is None)
     screened = _weak_subsets(_unit_rows(frame.matrix))
     assert [tuple((t + 1).tolist()) for idx, _ in screened for t in idx] == weak_subsets_oracle(frame)
+
+
+# The coincidence suite as it ran before sequences were carried as blocks:
+# one QuotientPoint per realized target and an ExplicitList of DenseVectors,
+# so every trace takes the per-vector path.  The suite must report the same.
+
+
+def coincidence_suite_oracle(frame, trials=100, prefix=200, tol=1e-6, seed=0):
+    cert = certify_phase_retrieval(frame, seed=seed)
+    rng = np.random.default_rng(seed)
+    n = frame.dim
+    exemplars = []
+    if cert.verdict == Verdict.PHASE_RETRIEVAL:
+        steps = np.arange(1, prefix + 1)[:, None]
+        for t in range(trials):
+            x = rng.standard_normal(n)
+            x /= np.linalg.norm(x)
+            d = rng.standard_normal(n)
+            d *= 0.5 / np.linalg.norm(d)
+            patterns = np.abs((x + d / steps) @ frame.matrix.T)
+            points = [r.rep for r in realize_from_magnitudes(frame, patterns)]
+            seq, limit = ExplicitList(tuple(points)), DenseVector(x)
+            rp = converge_tau_phi(frame, seq, limit, prefix, tol)
+            witnesses = [limit, points[0]] + default_tau_w_witnesses(dim=n, seed=seed + t, count_random=8)
+            rw = converge_tau_w(seq, limit, witnesses, prefix, tol)
+            if rp.verdict != rw.verdict:
+                exemplars.append({"trial": t, "tau_phi": rp.verdict.value, "tau_w": rw.verdict.value})
+    else:
+        pair = cert.witness
+        if isinstance(pair, FailingSubset):
+            pair = _split_pair(frame, np.isin(np.arange(1, frame.m + 1), pair.indices))
+        if pair is not None:
+            u, v = pair.x, pair.y
+            seq = ExplicitList(tuple(DenseVector((-1.0) ** k * u.coords) for k in range(1, prefix + 1)))
+            rp = converge_tau_phi(frame, seq, v, prefix, tol)
+            witnesses = [u, v] + default_tau_w_witnesses(dim=n, seed=seed, count_random=8)
+            rw = converge_tau_w(seq, v, witnesses, prefix, tol)
+            if rp.verdict != rw.verdict:
+                exemplars.append(
+                    {"trial": "colliding_pair", "tau_phi": rp.verdict.value, "tau_w": rw.verdict.value}
+                )
+    return CoincidenceReport(
+        pr_certified=cert.verdict == Verdict.PHASE_RETRIEVAL,
+        trials=trials,
+        mismatches=len(exemplars),
+        exemplars=tuple(exemplars),
+        parameters={"prefix": prefix, "tol": tol, "seed": seed},
+    )

@@ -29,9 +29,11 @@ from phaselens import (
 )
 from conftest import (
     assert_engine_matches_oracle,
+    first_dependent_oracle,
     random_real_frame,
     verify_collision,
     verify_failing_subset,
+    weak_subsets_oracle,
 )
 
 
@@ -199,6 +201,33 @@ class TestStackedEngine:
         assert cert.verdict == Verdict.PHASE_RETRIEVAL
         assert cert.method == Method.COMPLEMENT_PROPERTY
         assert is_full_spark(frame)
+
+    def test_spark_ranks_only_subsets_inside_the_weak_union(self, monkeypatch):
+        # a dependent subset of at most n vectors lies inside U, the union of
+        # the weak n-subsets, so spark walks only those and keeps the witness
+        from phaselens import certify
+
+        ranked = []
+        rank = certify._subset_rank
+
+        def recording(unit, idx):
+            ranked.extend(idx.tolist())
+            return rank(unit, idx)
+
+        monkeypatch.setattr(certify, "_subset_rank", recording)
+        for frame in self.frames():
+            ranked.clear()
+            result = spark(frame)
+            inside = {i - 1 for t in weak_subsets_oracle(frame) for i in t}
+            assert bool(ranked) == bool(inside)
+            assert all(set(idx) <= inside for idx in ranked)
+            dependent = first_dependent_oracle(frame, range(1, frame.dim + 1))
+            assert result.witness == (dependent or tuple(range(1, frame.dim + 2)))
+        # a Gaussian 14 x 7 frame has no weak 7-subset, so nothing is ranked
+        ranked.clear()
+        result = spark(random_real_frame(np.random.default_rng(49), 14, 7))
+        assert ranked == []
+        assert (result.spark, result.witness) == (8, tuple(range(1, 9)))
 
 
 class TestFalsifier:

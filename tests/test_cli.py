@@ -213,6 +213,27 @@ class TestConvergeCommand:
         assert code == EXIT_PARSE
         assert "sequence spec" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["converge", "r2_fullspark.json",
+             '{"type":"perturbed_limit","limit":[1,0,0],"direction":[0,1],"length":20}', "[1,0]"],
+            ["converge", "r2_fullspark.json",
+             '{"type":"perturbed_limit","limit":{"support":[[1,1.0]]},"direction":[0,1],"length":20}',
+             "[1,0]"],
+            ["--prefix", "45", "converge", "pairwise_sum_50.json",
+             '{"type":"scaled_basis","length":45,"power":1000}', '{"support": []}'],
+        ],
+        ids=["perturbed_limit_dims_differ", "perturbed_limit_finite_support", "scaled_basis_overflows"],
+    )
+    def test_spec_outside_its_domain_exits_64(self, capsys, data_dir, argv):
+        # each once died with an uncaught numpy error, exit 70 or an OverflowError
+        argv = [str(data_dir / a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "sequence spec" in err
+
 
 class TestSuiteCommand:
     def test_certified_frame(self, capsys, data_dir):

@@ -11,7 +11,8 @@ frames and on frames whose smallest n-subset sigma_n sits near the
 determinant screen's bound, and the screen must find the weak n-subsets that
 one SVD per subset finds.  The exact minimax distance is checked against a
 dense phase grid on small complex frames whose entries mix Gaussian integers
-and floats.
+and floats.  The three convergence traces of a (P, n) block of dense points
+must be bitwise those of the same points as DenseVector objects.
 """
 
 import itertools
@@ -26,9 +27,15 @@ from hypothesis import strategies as st
 from phaselens import (
     DenseVector,
     ExplicitFrame,
+    ExplicitList,
+    PairwiseSumFrame,
     Verdict,
     certify_phase_retrieval,
     complement_property,
+    converge_d_phi,
+    converge_tau_phi,
+    converge_tau_w,
+    default_tau_w_witnesses,
     falsify_by_sign_enumeration,
     frak_distance,
 )
@@ -169,3 +176,55 @@ def near_screen_bound_frames(draw):
 @given(near_screen_bound_frames())
 def test_screen_agrees_near_its_bound(matrix):
     assert_engine_matches_oracle(as_frame(matrix))
+
+
+@st.composite
+def dense_sequences(draw):
+    """(frame, points, limit, witnesses): P = 2..300 points of dimension
+    n = 1..8 that approach the limit at k^(-rate), stay off it, or jump at
+    random.  The frame is real (explicit or pairwise-sum) for real points and
+    complex for complex ones; a real limit or real points may ride with the
+    other complex."""
+    n, p = draw(st.integers(1, 8)), draw(st.integers(2, 300))
+    kind = draw(st.sampled_from(("real", "pairwise", "complex", "complex_limit", "complex_points")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def draw_array(shape, complex_field):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if complex_field else a
+
+    limit = draw_array(n, kind in ("complex", "complex_limit"))
+    noise = draw_array((p, n), kind in ("complex", "complex_points"))
+    rate = draw(st.sampled_from((0.0, 0.5, 2.0)))
+    points = limit + draw(st.sampled_from((0.0, 1e-9, 1.0))) * noise * np.arange(1.0, p + 1)[:, None] ** -rate
+    m = draw(st.integers(1, 2 * n + 1))
+    if kind == "pairwise":
+        frame = PairwiseSumFrame(max(2, n + draw(st.integers(0, 2))))
+    else:
+        frame = ExplicitFrame(draw_array((m, n), kind != "real"), field=None if kind != "real" else "real")
+    witnesses = [DenseVector(limit), DenseVector(points[0])] + default_tau_w_witnesses(dim=n, count_random=4)
+    return frame, points, DenseVector(limit), witnesses
+
+
+def _same_report(a, b, witnesses):
+    assert a.residual_traces.tobytes() == b.residual_traces.tobytes()
+    assert a.residual_traces.shape == b.residual_traces.shape
+    assert (a.verdict, a.witness_gap) == (b.verdict, b.witness_gap)
+    if a.witness in witnesses:  # the same tau_w witness object, by position
+        assert witnesses.index(a.witness) == witnesses.index(b.witness)
+    else:
+        assert a.witness == b.witness
+
+
+@given(dense_sequences())
+def test_point_block_traces_equal_vector_traces(data):
+    frame, points, limit, witnesses = data
+    block, objects = ExplicitList(points), ExplicitList(tuple(DenseVector(r) for r in points))
+    prefix = len(points)
+    for converge in (converge_tau_phi, converge_d_phi):
+        _same_report(converge(frame, block, limit, prefix), converge(frame, objects, limit, prefix), witnesses)
+    _same_report(
+        converge_tau_w(block, limit, witnesses, prefix),
+        converge_tau_w(objects, limit, witnesses, prefix),
+        witnesses,
+    )

@@ -9,6 +9,7 @@ from phaselens import (
     DenseVector,
     DimensionMismatch,
     ExplicitFrame,
+    FieldError,
     ExplicitList,
     FiniteSupportVector,
     IncompatibleVector,
@@ -31,7 +32,7 @@ from phaselens import (
 from phaselens import topology
 from phaselens.frames import analysis_magnitudes
 from phaselens.vectors import BASEL_SUM
-from conftest import random_real_frame
+from conftest import coincidence_suite_oracle, random_real_frame
 
 
 def _magnitude_loop(frame, points, limit):
@@ -89,6 +90,56 @@ class TestSequenceSpecs:
                 limit=DenseVector([1.0]), direction=DenseVector([1.0]), length=5, rate=0.0
             )
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PerturbedLimit(DenseVector([1.0, 0.0, 0.0]), DenseVector([0.0, 1.0]), 20),
+            lambda: PerturbedLimit(FiniteSupportVector([(1, 1.0)]), DenseVector([0.0, 1.0]), 20),
+            lambda: PerturbedLimit(DenseVector([1.0, 0.0]), ReciprocalVector(), 20),
+            lambda: ScaledBasis(length=45, power=1000.0),
+            lambda: ScaledBasis(length=45, power=float("inf")),
+            lambda: ScaledBasis(length=45, power=float("nan")),
+        ],
+        ids=["dims_differ", "finite_support_limit", "reciprocal_direction",
+             "overflowing_power", "infinite_power", "nan_power"],
+    )
+    def test_points_outside_the_domain_are_refused_at_construction(self, make):
+        with pytest.raises(IncompatibleVector):
+            make()
+
+    def test_largest_finite_power_is_accepted(self):
+        assert ScaledBasis(length=45, power=100.0).point(45).entry(45) == 45.0 ** 100
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            AlternatingSign(length=41),
+            PerturbedLimit(DenseVector([1.0, -2.0, 0.5]), DenseVector([0.3, 0.7, -1.1]), 300),
+            PerturbedLimit(DenseVector([1.0 + 0.5j, -0.25j]), DenseVector([0.3j, 0.7]), 300, rate=0.37),
+            PerturbedLimit(DenseVector([1.0, -1.0]), DenseVector([0.3 - 1j, 0.7]), 300, rate=2.9),
+            PerturbedLimit(DenseVector([1.0 + 1j, -1.0]), DenseVector([0.1, 0.7]), 300, rate=1.3),
+        ],
+        ids=["alternating", "real", "complex", "complex_direction", "complex_limit"],
+    )
+    def test_block_rows_are_the_points(self, seq):
+        block = seq.head(seq.length)
+        assert block.shape[0] == seq.length
+        for k in range(1, seq.length + 1):
+            assert block[k - 1].tobytes() == seq.point(k).coords.tobytes()
+            assert block.dtype == seq.point(k).coords.dtype
+
+    def test_explicit_list_of_a_block(self):
+        seq = ExplicitList(np.arange(6).reshape(3, 2))
+        assert seq.length == 3
+        assert seq.points.dtype == np.float64
+        assert isinstance(seq.point(2), DenseVector)
+        assert seq.point(2).coords.tolist() == [2.0, 3.0]
+        assert seq.head(2).tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        assert ExplicitList(np.ones((2, 2), dtype=np.complex64)).points.dtype == np.complex128
+        for bad in (np.zeros(3), np.zeros((1, 2)), np.zeros((3, 0)), np.zeros((2, 2, 2))):
+            with pytest.raises(IncompatibleVector):
+                ExplicitList(bad)
+
 
 class TestInitialTopology:
     def test_perturbed_sequence_is_consistent(self, r2_frame):
@@ -127,6 +178,24 @@ class TestInitialTopology:
         seq = AlternatingSign(length=10)
         with pytest.raises(IncompatibleVector):
             converge_tau_phi(r2_frame, seq, DenseVector([1.0, 1.0]), prefix=1)
+
+    def test_point_block_keeps_the_coercion_rules(self, r2_frame, c2_frame):
+        limit = DenseVector([1.0, 0.0])
+        with pytest.raises(FieldError):
+            converge_tau_phi(r2_frame, ExplicitList(np.array([[1.0, 1j], [1.0, 0.0]])), limit)
+        with pytest.raises(DimensionMismatch):
+            converge_tau_phi(r2_frame, ExplicitList(np.ones((4, 3))), DenseVector([1.0, 0.0, 0.0]))
+        with pytest.raises(DimensionMismatch):  # limit and points of different dims
+            converge_tau_phi(r2_frame, ExplicitList(np.ones((4, 3))), limit)
+        # a complex block with zero imaginary parts is real on a real frame
+        points = np.random.default_rng(2).standard_normal((30, 2))
+        real = converge_tau_phi(r2_frame, ExplicitList(points), limit)
+        typed = converge_tau_phi(r2_frame, ExplicitList(points + 0j), limit)
+        assert real.residual_traces.tobytes() == typed.residual_traces.tobytes()
+        complex_limit = DenseVector([1.0 + 0j, 0.0])
+        mixed = converge_tau_phi(c2_frame, ExplicitList(points), complex_limit)
+        objects = ExplicitList(tuple(DenseVector(p) for p in points))
+        assert mixed.residual_traces.tobytes() == converge_tau_phi(c2_frame, objects, complex_limit).residual_traces.tobytes()
 
 
 def _pairing_loop(points, limit, witnesses):
@@ -395,6 +464,57 @@ class TestCoincidenceSuite:
         rep = finite_dim_coincidence_suite(frame, trials=5, seed=1)
         if rep.pr_certified:
             assert rep.mismatches == 0
+
+    @staticmethod
+    def oracle_frames():
+        rng = np.random.default_rng(18)
+        frames = {"r2": ExplicitFrame(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))}
+        for m, n in ((5, 3), (7, 4)):
+            frames[f"r{n}_m{m}"] = random_real_frame(rng, m, n)
+        frames["onb"] = ExplicitFrame(np.eye(2))
+        frames["undercomplete"] = random_real_frame(rng, 6, 4)
+        planted = rng.standard_normal((8, 3))
+        planted[:6, 2] = 0.0  # six vectors in one plane: a failing split
+        frames["planted"] = ExplicitFrame(planted)
+        frames["repeated"] = ExplicitFrame(np.array([[0.0, 1.0]] + [[1.0, 0.0]] * 19))
+        exponents = rng.permutation(7) * 2.0 - 12.0
+        frames["rescaled"] = ExplicitFrame(rng.standard_normal((7, 4)) * 10.0 ** exponents[:, None])
+        return frames
+
+    @pytest.mark.parametrize(
+        "name", ["r2", "r3_m5", "r4_m7", "onb", "undercomplete", "planted", "repeated", "rescaled"]
+    )
+    def test_suite_equals_per_point_oracle(self, name):
+        frame = self.oracle_frames()[name]
+        for seed, prefix in ((0, 200), (5, 37)):
+            rep = finite_dim_coincidence_suite(frame, trials=3, prefix=prefix, seed=seed)
+            assert rep.pr_certified == (name in ("r2", "r3_m5", "r4_m7", "rescaled"))
+            assert rep.to_dict() == coincidence_suite_oracle(frame, trials=3, prefix=prefix, seed=seed).to_dict()
+
+    @pytest.mark.parametrize("name", ["r4_m7", "planted"])
+    def test_suite_builds_no_per_point_objects(self, name, monkeypatch):
+        # the realized (or sign-flipped) points travel as one block, so the
+        # number of coerced vectors and DenseVectors does not grow with the prefix
+        frame = self.oracle_frames()[name]
+        counts = {"coerce": 0, "dense": 0}
+        coerce, init = ExplicitFrame.coerce, DenseVector.__init__
+
+        def counting_coerce(self, x):
+            counts["coerce"] += 1
+            return coerce(self, x)
+
+        def counting_init(self, coords):
+            counts["dense"] += 1
+            init(self, coords)
+
+        monkeypatch.setattr(ExplicitFrame, "coerce", counting_coerce)
+        monkeypatch.setattr(DenseVector, "__init__", counting_init)
+        seen = []
+        for prefix in (20, 200):
+            counts.update(coerce=0, dense=0)
+            finite_dim_coincidence_suite(frame, trials=2, prefix=prefix, seed=1)
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
 
     def test_report_document(self, r2_frame):
         doc = finite_dim_coincidence_suite(r2_frame, trials=3, seed=0).to_dict()
