@@ -2,7 +2,11 @@
 (sup over the frame of the per-index phase minimum), and the minimax variant
 (one phase for the whole frame: min over the phase of the sup over the frame),
 plus the inequality report tying them together and the sign-pattern
-realizer that inverts magnitude patterns for real frames.
+realizer that inverts magnitude patterns for real frames.  The realizer
+returns the first sign pattern of all 2^(m-1) in counting order that fits,
+but solves only the 2^(n-1) patterns of one invertible n-subset of the rows
+per target, plus both signs of any row whose magnitude is within c times
+the tolerance of zero, c = 1 + |A|_2 / sigma_n(A_T) (see ``_realize``).
 """
 
 from __future__ import annotations
@@ -233,8 +237,9 @@ def inequality_report(frame: ExplicitFrame, x, y) -> MetricReport:
     )
 
 
-# Pattern rows solved per block: bounds the (targets, patterns, m) temporaries
-# of one realizer call, whatever the number of targets.
+# Bounds the temporaries of one realizer call, whatever the number of
+# targets: targets per block times the 2^(n-1) anchor patterns, and
+# candidate patterns per least-squares solve.
 _REALIZE_BLOCK_ROWS = 4096
 
 
@@ -243,16 +248,21 @@ def realize_from_magnitudes(
 ) -> Optional[QuotientPoint] | list[Optional[QuotientPoint]]:
     """Invert a magnitude pattern over a real spanning frame, if possible.
 
-    Enumerates sign patterns (first sign fixed +1, binary counting order) and
-    solves <y, phi_j> = eps_j target_j in least squares; the first pattern
-    whose residual is within tolerance wins, so results are deterministic.
-    The system is solved on unit rows (row j and target_j divided by
-    |phi_j|), which has the same exact solutions, so the tolerance does not
-    depend on how a frame vector is scaled.
+    The answer is the first sign pattern eps (first sign fixed +1, binary
+    counting order over all m signs) whose least-squares solution of
+    <y, phi_j> = eps_j target_j has a residual within tolerance, so results
+    are deterministic.  The system is solved on unit rows (row j and
+    target_j divided by |phi_j|), which has the same exact solutions, so the
+    tolerance does not depend on how a frame vector is scaled.
 
-    A 1-D target returns a QuotientPoint, or None when no signing of it is
-    realizable.  A (P, m) block of targets returns a list of P such results,
-    each equal to the result of its own 1-D call.
+    An invertible n-subset T of the unit rows A (a greedy pivot) pins every
+    candidate: a fitting pattern's solution on T fits all m rows within c
+    times the tolerance, c = 1 + |A|_2 / sigma_n(A_T), so a target costs the
+    2^(n-1) patterns of T, plus both signs of each row whose magnitude is
+    within c times the tolerance of zero (see ``_realize``).  A 1-D target
+    returns a QuotientPoint, or None when no signing of it is realizable.  A
+    (P, m) block of targets returns a list of P such results, each equal to
+    the result of its own 1-D call.
     """
     targets = np.asarray(target, dtype=np.float64)
     rows, found = _realize(frame, targets)
@@ -260,15 +270,44 @@ def realize_from_magnitudes(
     return results if targets.ndim == 2 else results[0]
 
 
+def _anchor(a: np.ndarray) -> np.ndarray:
+    """n row indices T of the unit rows a with a well-conditioned A_T: a
+    greedy pivot that takes, n times, the row farthest from the span of the
+    rows taken so far."""
+    rest = a.copy()
+    picks = []
+    for _ in range(a.shape[1]):
+        lengths = np.einsum("ij,ij->i", rest, rest)
+        k = int(np.argmax(lengths))
+        picks.append(k)
+        q = rest[k] / math.sqrt(lengths[k])
+        rest -= (rest @ q)[:, None] * q
+    return np.array(picks)
+
+
 def _realize(frame: ExplicitFrame, target) -> tuple[np.ndarray, np.ndarray]:
     """``realize_from_magnitudes`` on a 1-D or (P, m) target, as one (P, n)
     block of realizers and a (P,) mask of the rows that were found; a zero
-    target gives the zero row, a row not found is meaningless."""
+    target gives the zero row, a row not found is zero.
+
+    Let A be the unit rows, u a unit target, tol = REALIZE_RTOL |u|, and T an
+    invertible n-subset of the rows.  If pattern eps hits, its least-squares
+    y has |Ay - eps u| <= tol, and x_T = A_T^-1 (eps_T u_T) differs from y by
+    A_T^-1 (Ay - eps u)_T, so |A x_T - eps u| <= c tol with
+    c = 1 + |A A_T^-1|_2 <= 1 + |A|_2 / sigma_n(A_T).  Hence x_T passes the
+    filter | |A x_T| - u | <= c tol, and eps is the sign of A x_T on every
+    row with u_j > c tol.  Solving on T for its 2^(n-1) patterns, keeping
+    the candidates that pass and taking both signs on the other rows gives a
+    pattern set that holds the first hitting pattern; the least-squares test
+    then runs on that set in counting order.  An exact zero u_j (j > 1) takes
+    the + sign only: either sign gives the same system, and + comes first.
+    The bound is taken twice over, with a rounding term, as margin.
+    """
     if frame.field != REAL:
         raise FieldError("magnitude realization requires a real frame")
     _require_spanning(frame)
     targets = np.asarray(target, dtype=np.float64)
-    m = frame.m
+    m, n = frame.m, frame.dim
     if targets.ndim not in (1, 2) or targets.shape[-1] != m:
         raise IncompatibleVector(f"target length {targets.shape} vs frame count {m}")
     if np.any(targets < 0):
@@ -279,23 +318,60 @@ def _realize(frame: ExplicitFrame, target) -> tuple[np.ndarray, np.ndarray]:
     scale = _row_scale(frame.matrix)
     a = frame.matrix / scale[:, None]
     unit = block / scale
-    tols = config.REALIZE_RTOL * np.linalg.norm(unit, axis=1)
-    signs = sign_patterns(m)
+    norms = np.linalg.norm(unit, axis=1)
+    tols = config.REALIZE_RTOL * norms
     pinv_t = np.linalg.pinv(a).T
-    step = max(1, _REALIZE_BLOCK_ROWS // signs.shape[0])
-    rows = np.empty((block.shape[0], frame.dim))
-    found = np.empty(block.shape[0], dtype=bool)
-    for lo in range(0, block.shape[0], step):
-        signed = signs * unit[lo:lo + step, None, :]  # (p, patterns, m)
-        ys = signed @ pinv_t
-        fit = ys @ a.T
-        fit -= signed
-        fit *= fit
-        hits = np.sqrt(fit.sum(axis=2)) <= tols[lo:lo + step, None]
-        first = hits.argmax(axis=1)
-        rows[lo:lo + step] = ys[np.arange(first.size), first]
-        found[lo:lo + step] = hits[np.arange(first.size), first]
-    zero = ~block.any(axis=1)
-    rows[zero] = 0.0
-    found[zero] = True
+    anchor = _anchor(a)
+    lift = np.linalg.solve(a[anchor].T, a.T)  # A x_T, as a row, is (eps_T u_T) @ lift
+    c = 1.0 + np.linalg.norm(lift)  # the Frobenius norm bounds |A A_T^-1|_2
+    bounds = 2.0 * (c * config.REALIZE_RTOL + m * np.finfo(float).eps * c * c) * norms
+    anchor_signs = sign_patterns(n)
+    # a code has bit m-1-j set when sign j is -1, so the codes below 2^(m-1)
+    # number the patterns with first sign +1 in binary counting order
+    bits = np.left_shift(1, np.arange(m - 1, -1, -1, dtype=np.int64))
+    rows = np.zeros((block.shape[0], n))
+    found = ~block.any(axis=1)  # zero targets: the zero row, found
+    live = np.flatnonzero(~found)
+    step = max(1, _REALIZE_BLOCK_ROWS // anchor_signs.shape[0])
+    for lo in range(0, live.size, step):
+        idx = live[lo:lo + step]
+        u = unit[idx]
+        fit = ((anchor_signs * u[:, None, anchor]).reshape(-1, n) @ lift).reshape(idx.size, -1, m)
+        miss = np.abs(fit)
+        miss -= u[:, None, :]
+        keep = np.sqrt(np.einsum("pkm,pkm->pk", miss, miss)) <= bounds[idx, None]
+        sure = u > bounds[idx, None]
+        open_rows = ~sure
+        open_rows[:, 1:] &= u[:, 1:] > 0.0
+        owner, k = np.nonzero(keep)
+        neg = fit[owner, k] < 0.0
+        neg &= sure[owner]
+        codes = neg @ bits
+        owners, patterns = [owner], [codes]
+        for i in np.flatnonzero(open_rows.any(axis=1)):  # both signs on each open row
+            free = bits[open_rows[i]]
+            subsets = (np.arange(2 ** free.size)[:, None] >> np.arange(free.size)) & 1
+            patterns.append((codes[owner == i][:, None] | subsets @ free).ravel())
+            owners.append(np.full(patterns[-1].size, i))
+        owner = np.concatenate(owners)
+        keys = np.concatenate(patterns)
+        keys = np.where(keys & bits[0], keys ^ (2 * bits[0] - 1), keys)  # first sign +1
+        keys &= ~((u == 0.0) @ bits)[owner]  # + on every exact zero
+        keys += owner * bits[0]
+        keys.sort()  # by target, then in counting order
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        for part in range(0, keys.size, _REALIZE_BLOCK_ROWS):
+            owner, codes = np.divmod(keys[part:part + _REALIZE_BLOCK_ROWS], bits[0])
+            signed = np.where(codes[:, None] & bits, -1.0, 1.0)
+            signed *= u[owner]
+            ys = (signed[:, None, :] @ pinv_t)[:, 0]  # one product per row, as a 1-D call makes
+            res = (ys[:, None, :] @ a.T)[:, 0]
+            res -= signed
+            res *= res
+            hit = np.sqrt(res.sum(axis=1)) <= tols[idx[owner]]
+            hit &= ~found[idx[owner]]  # a target found in an earlier part keeps its pattern
+            owner, ys = owner[hit], ys[hit]
+            first = np.diff(owner, prepend=-1) != 0
+            rows[idx[owner[first]]] = ys[first]
+            found[idx[owner[first]]] = True
     return rows, found

@@ -61,10 +61,11 @@ class ConvergenceVerdict(str, Enum):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExplicitList:
     """The given points: a tuple of vectors, or a (P, n) array of P dense
-    vectors, one per row."""
+    vectors, one per row.  Two lists are equal only when they are the same
+    object, as vectors compare by identity."""
 
     points: Union[Tuple[VectorRep, ...], np.ndarray]
 
@@ -270,6 +271,17 @@ def converge_tau_phi(
     )
 
 
+def _dense_witnesses(dim: int, seed: int, count_random: int) -> np.ndarray:
+    """The dense witnesses of ``default_tau_w_witnesses`` as one (W, dim)
+    block: the basis, then random unit vectors, each normalized with its own
+    1-D norm (a row-wise norm of the block rounds differently)."""
+    rng = np.random.default_rng(seed)
+    rand = rng.standard_normal((count_random, dim))
+    for v in rand:
+        v /= np.linalg.norm(v)
+    return np.vstack([np.eye(dim), rand])
+
+
 def default_tau_w_witnesses(
     dim: Optional[int] = None,
     truncation: Optional[int] = None,
@@ -278,17 +290,10 @@ def default_tau_w_witnesses(
 ) -> List[VectorRep]:
     """Standard test-vector set: basis prefix, random unit vectors, and the
     reciprocal sequence when the ambient space is the sequence space."""
+    if dim is not None:
+        return [DenseVector(row) for row in _dense_witnesses(dim, seed, count_random)]
     rng = np.random.default_rng(seed)
     witnesses: List[VectorRep] = []
-    if dim is not None:
-        for k in range(1, dim + 1):
-            e = np.zeros(dim)
-            e[k - 1] = 1.0
-            witnesses.append(DenseVector(e))
-        for _ in range(count_random):
-            v = rng.standard_normal(dim)
-            witnesses.append(DenseVector(v / np.linalg.norm(v)))
-        return witnesses
     n = truncation or config.DEFAULT_TRUNCATION
     for k in range(1, min(n, 16) + 1):
         witnesses.append(FiniteSupportVector([(k, 1.0)]))
@@ -304,21 +309,23 @@ def default_tau_w_witnesses(
 def converge_tau_w(
     seq,
     limit,
-    witnesses: Sequence[VectorRep],
+    witnesses: Union[Sequence[VectorRep], np.ndarray],
     prefix: int = config.DEFAULT_PREFIX,
     tol: float = config.DEFAULT_TOL,
 ) -> ConvergenceReport:
     """Residuals | |<x_k,y>| - |<limit,y>| | over the witness vectors.
 
     The first witness (in list order) holding a persistent tail gap is
-    reported, so user-supplied witnesses should come first.  All pairings
-    come from one ``pairings`` product, for every vector type; a pairing is
-    exact when the pair shares at most one nonzero index.
+    reported, so user-supplied witnesses should come first.  The witnesses
+    are vectors, or a (W, n) array of W dense ones, one per row.  All
+    pairings come from one ``pairings`` product, for every vector type; a
+    pairing is exact when the pair shares at most one nonzero index.
     """
-    if not witnesses:
+    if not len(witnesses):
         raise IncompatibleVector("witness list must be nonempty")
     prefix = min(prefix, seq.length)
-    witnesses = [as_rep(w) for w in witnesses]
+    if not _is_block(witnesses):
+        witnesses = [as_rep(w) for w in witnesses]
     # the limit rides in the same product as the points so that its overlaps
     # round exactly like theirs
     rows = pairings(_expand(seq, prefix, limit), witnesses)
@@ -326,7 +333,9 @@ def converge_tau_w(
     verdict, witness, gap = ConvergenceVerdict.CONSISTENT, None, None
     hit = _first_gap(traces, tol)
     if hit is not None:
-        verdict, witness, gap = ConvergenceVerdict.DIVERGENCE, witnesses[hit[0]], hit[1]
+        witness = witnesses[hit[0]]
+        witness = DenseVector(witness) if _is_block(witnesses) else witness
+        verdict, gap = ConvergenceVerdict.DIVERGENCE, hit[1]
     return ConvergenceReport(
         topology="tau_w",
         verdict=verdict,
@@ -441,23 +450,24 @@ def finite_dim_coincidence_suite(
     exemplars: List[dict] = []
 
     if cert.verdict == Verdict.PHASE_RETRIEVAL:
-        steps = np.arange(1, prefix + 1)[:, None]
-        for t in range(trials):
-            x = rng.standard_normal(n)
+        # every trial's draws first, so that one realizer call takes every
+        # target of the suite; the realizer draws nothing, so the stream is kept
+        xs, ds = np.empty((trials, n)), np.empty((trials, n))
+        for x, d in zip(xs, ds):
+            x[:] = rng.standard_normal(n)
             x /= np.linalg.norm(x)
-            d = rng.standard_normal(n)
+            d[:] = rng.standard_normal(n)
             d *= 0.5 / np.linalg.norm(d)
-            patterns = np.abs((x + d / steps) @ frame.matrix.T)
-            points, found = _realize(frame, patterns)
-            if not found.all():
-                raise IncompatibleVector("a magnitude pattern of the suite has no realizer")
-            seq = ExplicitList(points)
-            limit = DenseVector(x)
-            rp = converge_tau_phi(frame, seq, limit, prefix, tol)
-            witnesses = [limit, seq.point(1)] + default_tau_w_witnesses(
-                dim=n, seed=seed + t, count_random=8
-            )
-            rw = converge_tau_w(seq, limit, witnesses, prefix, tol)
+        steps = np.arange(1, prefix + 1)[:, None]
+        patterns = np.abs((xs[:, None] + ds[:, None] / steps) @ frame.matrix.T)
+        points, found = _realize(frame, patterns.reshape(-1, frame.m))
+        if not found.all():
+            raise IncompatibleVector("a magnitude pattern of the suite has no realizer")
+        for t, x in enumerate(xs):
+            seq = ExplicitList(points[t * prefix:(t + 1) * prefix])
+            rp = converge_tau_phi(frame, seq, x, prefix, tol)
+            witnesses = np.vstack([x, seq.points[0], _dense_witnesses(n, seed + t, 8)])
+            rw = converge_tau_w(seq, x, witnesses, prefix, tol)
             if rp.verdict != rw.verdict:
                 mismatches += 1
                 exemplars.append(
@@ -468,11 +478,11 @@ def finite_dim_coincidence_suite(
         if isinstance(pair, FailingSubset):
             pair = _split_pair(frame, np.isin(np.arange(1, frame.m + 1), pair.indices))
         if pair is not None:
-            u, v = as_rep(pair.x), as_rep(pair.y)
+            u, v = as_rep(pair.x).coords, as_rep(pair.y).coords
             signs = np.where(np.arange(1, prefix + 1) % 2, -1.0, 1.0)  # (-1)^k
-            seq = ExplicitList(signs[:, None] * u.coords)
+            seq = ExplicitList(signs[:, None] * u)
             rp = converge_tau_phi(frame, seq, v, prefix, tol)
-            witnesses = [u, v] + default_tau_w_witnesses(dim=n, seed=seed, count_random=8)
+            witnesses = np.vstack([u, v, _dense_witnesses(n, seed, 8)])
             rw = converge_tau_w(seq, v, witnesses, prefix, tol)
             if rp.verdict != rw.verdict:
                 mismatches += 1

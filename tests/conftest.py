@@ -1,8 +1,9 @@
 """Shared fixtures: the three reference frames, random-frame helpers,
 witness checks that re-verify outside the certification code path, the
 per-subset enumeration loops that the stacked rank engine and its
-determinant screen are checked against, and the per-point coincidence suite
-that the block suite is checked against."""
+determinant screen are checked against, the 2^(m-1) sign-pattern realizer
+that the anchor-subset realizer is checked against, and the per-point
+coincidence suite that the block suite is checked against."""
 
 import itertools
 import pathlib
@@ -27,7 +28,6 @@ from phaselens import (
     converge_tau_w,
     default_tau_w_witnesses,
     is_full_spark,
-    realize_from_magnitudes,
     spark,
 )
 from phaselens.certify import _split_pair, _weak_subsets
@@ -190,9 +190,41 @@ def assert_engine_matches_oracle(frame):
     assert [tuple((t + 1).tolist()) for idx, _ in screened for t in idx] == weak_subsets_oracle(frame)
 
 
+# The realizer as it ran before the anchor subset: every one of the 2^(m-1)
+# sign patterns (first sign +1, binary counting order) is solved in least
+# squares on unit rows, and the first whose residual is within 1e-8 |u| wins.
+
+
+def realize_oracle(frame, targets):
+    """(rows, found) for a (P, m) block of magnitude targets, one target at a
+    time; a zero target gives the zero row, found, and a row not found is
+    meaningless."""
+    m = frame.m
+    unit_targets = np.asarray(targets, dtype=np.float64).reshape(-1, m)
+    norms = np.linalg.norm(frame.matrix, axis=1)
+    scale = np.where(norms > 0.0, norms, 1.0)
+    a = frame.matrix / scale[:, None]
+    unit_targets = unit_targets / scale
+    signs = np.array([(1.0,) + tail for tail in itertools.product((1.0, -1.0), repeat=m - 1)])
+    pinv_t = np.linalg.pinv(a).T
+    rows = np.zeros((unit_targets.shape[0], frame.dim))
+    found = np.zeros(unit_targets.shape[0], dtype=bool)
+    for i, u in enumerate(unit_targets):
+        if not u.any():
+            found[i] = True
+            continue
+        signed = signs * u
+        ys = signed @ pinv_t
+        hits = np.linalg.norm(ys @ a.T - signed, axis=1) <= 1e-8 * np.linalg.norm(u)
+        first = int(np.argmax(hits))
+        rows[i], found[i] = ys[first], hits[first]
+    return rows, found
+
+
 # The coincidence suite as it ran before sequences were carried as blocks:
-# one QuotientPoint per realized target and an ExplicitList of DenseVectors,
-# so every trace takes the per-vector path.  The suite must report the same.
+# one realized target at a time, by the oracle above, and an ExplicitList of
+# DenseVectors, so every trace takes the per-vector path.  The suite must
+# report the same.
 
 
 def coincidence_suite_oracle(frame, trials=100, prefix=200, tol=1e-6, seed=0):
@@ -208,7 +240,9 @@ def coincidence_suite_oracle(frame, trials=100, prefix=200, tol=1e-6, seed=0):
             d = rng.standard_normal(n)
             d *= 0.5 / np.linalg.norm(d)
             patterns = np.abs((x + d / steps) @ frame.matrix.T)
-            points = [r.rep for r in realize_from_magnitudes(frame, patterns)]
+            realized, found = realize_oracle(frame, patterns)
+            assert found.all()
+            points = [DenseVector(r) for r in realized]
             seq, limit = ExplicitList(tuple(points)), DenseVector(x)
             rp = converge_tau_phi(frame, seq, limit, prefix, tol)
             witnesses = [limit, points[0]] + default_tau_w_witnesses(dim=n, seed=seed + t, count_random=8)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from phaselens import metrics
 from phaselens import (
     DenseVector,
     EnumerationCapExceeded,
@@ -20,7 +21,7 @@ from phaselens import (
     inequality_report,
     realize_from_magnitudes,
 )
-from conftest import random_real_frame, random_unit
+from conftest import random_real_frame, random_unit, realize_oracle
 
 
 class TestBuresDistance:
@@ -238,6 +239,37 @@ class TestRealization:
                 assert got.rep.coords.tobytes() == want.rep.coords.tobytes()
         zero_rows = block[::7]
         assert all(r is not None and r.norm() == 0.0 for r in zero_rows)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 16])
+    def test_block_size_does_not_change_results(self, block_rows, monkeypatch):
+        # small blocks split one target's candidate patterns across several
+        # solves; the first hit in counting order must still win
+        rng = np.random.default_rng(block_rows)
+        free_sign = ExplicitFrame([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        for frame in (free_sign, random_real_frame(rng, 5, 3), random_real_frame(rng, 7, 3)):
+            targets = np.abs(rng.standard_normal((30, 3)) @ frame.matrix.T)
+            targets[::3, rng.integers(frame.m)] = 0.0
+            targets[1::4] = 1e-9 * rng.uniform(0.0, 1.0, targets[1::4].shape)
+            targets[1::4, 0] = 1.0
+            targets[2::5] = 0.0
+            want_rows, want_found = metrics._realize(frame, targets)
+            monkeypatch.setattr(metrics, "_REALIZE_BLOCK_ROWS", block_rows)
+            rows, found = metrics._realize(frame, targets)
+            monkeypatch.undo()
+            assert found.tolist() == want_found.tolist()
+            assert rows.tobytes() == want_rows.tobytes()
+
+    def test_zero_first_vector_keeps_the_counting_order(self):
+        # a zero first vector lies outside every anchor subset, so both signs
+        # of its zero target entry must be tried to find the first pattern
+        rng = np.random.default_rng(31)
+        free_sign = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        for frame in (ExplicitFrame(free_sign), ExplicitFrame(np.vstack([np.zeros(3), rng.standard_normal((5, 3))]))):
+            targets = np.abs(rng.standard_normal((40, 3)) @ frame.matrix.T)
+            rows, found = metrics._realize(frame, targets)
+            want_rows, want_found = realize_oracle(frame, targets)
+            assert found.all() and want_found.all()
+            assert np.all(np.linalg.norm(rows - want_rows, axis=1) <= 1e-12 * np.linalg.norm(want_rows, axis=1))
 
     def test_first_pattern_in_counting_order_wins(self):
         # {e1, e2, e3, e1+e2} leaves the sign of x3 free, so two signings of

@@ -12,7 +12,12 @@ determinant screen's bound, and the screen must find the weak n-subsets that
 one SVD per subset finds.  The exact minimax distance is checked against a
 dense phase grid on small complex frames whose entries mix Gaussian integers
 and floats.  The three convergence traces of a (P, n) block of dense points
-must be bitwise those of the same points as DenseVector objects.
+must be bitwise those of the same points as DenseVector objects, and the
+weak-type trace with its witnesses as one block must be bitwise the trace
+with them as a list.  The anchor-subset realizer must find what the search
+over all 2^(m-1) sign patterns finds, with rows equal to 1e-12 relative, on
+phase-retrieval frames, on frames that leave a sign free, and on targets
+near or at a zero coefficient or a few tolerances from realizable.
 """
 
 import itertools
@@ -39,7 +44,8 @@ from phaselens import (
     falsify_by_sign_enumeration,
     frak_distance,
 )
-from conftest import assert_engine_matches_oracle, verify_witness
+from phaselens.metrics import _realize
+from conftest import assert_engine_matches_oracle, realize_oracle, verify_witness
 
 
 @st.composite
@@ -223,8 +229,69 @@ def test_point_block_traces_equal_vector_traces(data):
     prefix = len(points)
     for converge in (converge_tau_phi, converge_d_phi):
         _same_report(converge(frame, block, limit, prefix), converge(frame, objects, limit, prefix), witnesses)
-    _same_report(
-        converge_tau_w(block, limit, witnesses, prefix),
-        converge_tau_w(objects, limit, witnesses, prefix),
-        witnesses,
-    )
+    reference = converge_tau_w(objects, limit, witnesses, prefix)
+    _same_report(converge_tau_w(block, limit, witnesses, prefix), reference, witnesses)
+    # the witnesses as one (W, n) block: the same traces, and the reported
+    # witness is the DenseVector of its row
+    stacked = converge_tau_w(block, limit, np.vstack([w.coords for w in witnesses]), prefix)
+    assert stacked.residual_traces.tobytes() == reference.residual_traces.tobytes()
+    assert (stacked.verdict, stacked.witness_gap) == (reference.verdict, reference.witness_gap)
+    if reference.witness is None:
+        assert stacked.witness is None
+    else:
+        assert np.array_equal(stacked.witness.coords, reference.witness.coords)  # a complex block upcasts
+
+
+# {e1, e2, e3, e1 + e2} leaves the sign of x3 free: not phase retrieval, so
+# two signings of most targets are realizable and the counting order decides
+_FREE_SIGN_ROWS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+
+
+@st.composite
+def realizer_cases(draw):
+    """(frame, targets): a Gaussian frame (n = 2..5, m = n+1..2n+2, so both
+    phase-retrieval frames and frames with free signs occur) or the
+    free-sign frame above, rows scaled by 10^U(-4, 0), and 40 targets of one
+    kind: generic |Phi x|; |Phi x| with one coefficient 1e-12..1e-6 from
+    zero, or exactly zero; |Phi x| moved 0.3 to 5 tolerances off; uniform
+    noise; or zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        matrix = _FREE_SIGN_ROWS.copy()
+    else:
+        n = draw(st.integers(2, 5))
+        matrix = rng.standard_normal((draw(st.integers(n + 1, 2 * n + 2)), n))
+    matrix *= 10.0 ** rng.uniform(-4.0, 0.0, (len(matrix), 1))
+    m, n = matrix.shape
+    xs = rng.standard_normal((40, n))
+    kind = draw(st.sampled_from(("generic", "near_zero", "exact_zero", "off_tolerance", "noise", "zero")))
+    picks = rng.integers(m, size=40)
+    if kind in ("near_zero", "exact_zero"):
+        rows = matrix[picks]
+        gaps = 10.0 ** rng.uniform(-12.0, -6.0, 40) * np.linalg.norm(xs, axis=1) * np.linalg.norm(rows, axis=1)
+        gaps *= kind == "near_zero"
+        xs -= ((np.einsum("ij,ij->i", xs, rows) - gaps) / np.einsum("ij,ij->i", rows, rows))[:, None] * rows
+    targets = np.abs(xs @ matrix.T)
+    if kind == "exact_zero":
+        targets[np.arange(40), picks] = 0.0
+    elif kind == "off_tolerance":
+        scale = np.linalg.norm(matrix, axis=1)
+        moves = rng.standard_normal((40, m))
+        sizes = rng.choice((0.3, 0.7, 2.0, 3.0, 5.0), 40) * 1e-8 * np.linalg.norm(targets / scale, axis=1)
+        moves *= (sizes / np.linalg.norm(moves / scale, axis=1))[:, None]
+        targets = np.abs(targets + moves)
+    elif kind == "noise":
+        targets = rng.uniform(0.0, 2.0, (40, m)) * np.linalg.norm(matrix, axis=1)
+    elif kind == "zero":
+        targets[::2] = 0.0
+    return ExplicitFrame(matrix), targets
+
+
+@given(realizer_cases())
+def test_realizer_agrees_with_every_pattern_search(case):
+    frame, targets = case
+    rows, found = _realize(frame, targets)
+    want_rows, want_found = realize_oracle(frame, targets)
+    assert found.tolist() == want_found.tolist()
+    gap = np.linalg.norm(rows[found] - want_rows[found], axis=1)
+    assert np.all(gap <= 1e-12 * np.linalg.norm(want_rows[found], axis=1))

@@ -140,6 +140,14 @@ class TestSequenceSpecs:
             with pytest.raises(IncompatibleVector):
                 ExplicitList(bad)
 
+    def test_explicit_lists_compare_by_identity(self):
+        # a block has no truth value, so field-wise equality raised
+        block = np.arange(6.0).reshape(3, 2)
+        seq = ExplicitList(block)
+        assert (seq == ExplicitList(block.copy())) is False
+        assert seq == seq
+        assert len({seq, ExplicitList(block), ExplicitList((DenseVector([1.0]), DenseVector([2.0])))}) == 3
+
 
 class TestInitialTopology:
     def test_perturbed_sequence_is_consistent(self, r2_frame):
@@ -515,6 +523,45 @@ class TestCoincidenceSuite:
             finite_dim_coincidence_suite(frame, trials=2, prefix=prefix, seed=1)
             seen.append(dict(counts))
         assert seen[0] == seen[1]
+
+    def test_suite_realizes_once(self, monkeypatch):
+        # every target of every trial goes to the realizer in one block
+        frame = self.oracle_frames()["r4_m7"]
+        calls = []
+        realize = topology._realize
+
+        def counting_realize(frame, targets):
+            calls.append(np.shape(targets))
+            return realize(frame, targets)
+
+        monkeypatch.setattr(topology, "_realize", counting_realize)
+        rep = finite_dim_coincidence_suite(frame, trials=3, prefix=50, seed=2)
+        assert rep.pr_certified
+        assert calls == [(150, 7)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_witness_block_is_the_default_witnesses(self, n, monkeypatch):
+        # rows 2.. of each trial's tau_w block are bytewise the dense
+        # default witnesses for seed + t, and equal the per-row construction
+        frame = random_real_frame(np.random.default_rng(n), 2 * n + 1, n)
+        blocks = []
+        converge = topology.converge_tau_w
+
+        def capturing_converge(seq, limit, witnesses, prefix, tol):
+            blocks.append(witnesses)
+            return converge(seq, limit, witnesses, prefix, tol)
+
+        monkeypatch.setattr(topology, "converge_tau_w", capturing_converge)
+        rep = finite_dim_coincidence_suite(frame, trials=2, prefix=20, seed=11)
+        assert rep.pr_certified and len(blocks) == 2
+        for t, block in enumerate(blocks):
+            want = default_tau_w_witnesses(dim=n, seed=11 + t, count_random=8)
+            assert block.shape == (2 + n + 8, n)
+            assert [row.tobytes() for row in block[2:]] == [w.coords.tobytes() for w in want]
+            rng = np.random.default_rng(11 + t)
+            for row in block[2 + n:]:
+                v = rng.standard_normal(n)
+                assert row.tobytes() == (v / np.linalg.norm(v)).tobytes()
 
     def test_report_document(self, r2_frame):
         doc = finite_dim_coincidence_suite(r2_frame, trials=3, seed=0).to_dict()
